@@ -109,6 +109,8 @@ class OnlineDetector {
   std::map<std::string, std::uint64_t> take_closed_ingress();
 
   std::vector<std::string> open_sessions() const;
+  /// Number of open sessions, without copying their ids.
+  std::size_t open_session_count() const { return open_.size(); }
 
   /// Live-session introspection for status snapshots (`intellog top`).
   struct OpenSessionInfo {

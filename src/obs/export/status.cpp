@@ -35,7 +35,7 @@ common::Json build_status(const StatusContext& ctx) {
 
     const auto& limits = ctx.detector->limits();
     common::Json occ = common::Json::object();
-    occ["open_sessions"] = ctx.detector->open_sessions().size();
+    occ["open_sessions"] = ctx.detector->open_session_count();
     occ["max_sessions"] = limits.max_sessions;  // 0: unbounded
     occ["buffered_records"] = ctx.detector->total_buffered_records();
     occ["max_buffered_records"] = limits.max_buffered_records;

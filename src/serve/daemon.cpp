@@ -307,7 +307,7 @@ void ServeDaemon::flush_status(std::uint64_t now_ms) {
   common::Json tenants = common::Json::array();
   for (const auto& ts : tenants_) {
     const core::OnlineDetector& det = ts->shard->detector();
-    open += det.open_sessions().size();
+    open += det.open_session_count();
     buffered += det.total_buffered_records();
     pending_evicted += det.pending_evicted();
 
@@ -334,7 +334,7 @@ void ServeDaemon::flush_status(std::uint64_t now_ms) {
     t["tenant"] = ts->name;
     t["epoch"] = static_cast<std::int64_t>(ts->epoch);
     t["breaker"] = std::string(to_string(breaker));
-    t["open_sessions"] = det.open_sessions().size();
+    t["open_sessions"] = det.open_session_count();
     t["buffered_records"] = det.total_buffered_records();
     t["pending_files"] = ts->pending_files;
     t["pending_bytes"] = static_cast<std::int64_t>(ts->pending_bytes);

@@ -1,5 +1,6 @@
 #include "serve/signals.hpp"
 
+#include <atomic>
 #include <csignal>
 
 #include "obs/flight/flight.hpp"
@@ -8,12 +9,18 @@ namespace intellog::serve {
 
 namespace {
 
-volatile std::sig_atomic_t g_stop_signal = 0;
+// Written from signal handlers and from request_stop() on any thread, read
+// by the work loops on another: an atomic, and a lock-free one, because only
+// lock-free atomics are async-signal-safe.
+std::atomic<int> g_stop_signal{0};
+static_assert(std::atomic<int>::is_always_lock_free,
+              "the stop flag must stay async-signal-safe");
 
 void on_stop(int sig) {
   // Keep the first signal: a SIGINT followed by SIGTERM still reports the
   // operator's original intent, and repeated deliveries stay idempotent.
-  if (g_stop_signal == 0) g_stop_signal = sig;
+  int none = 0;
+  g_stop_signal.compare_exchange_strong(none, sig);
 }
 
 }  // namespace
@@ -23,9 +30,9 @@ void install_stop_signals() {
   std::signal(SIGINT, &on_stop);
 }
 
-int stop_signal() { return static_cast<int>(g_stop_signal); }
+int stop_signal() { return g_stop_signal.load(); }
 
-void clear_stop_signal() { g_stop_signal = 0; }
+void clear_stop_signal() { g_stop_signal.store(0); }
 
 void request_stop(int sig) { on_stop(sig); }
 

@@ -3,9 +3,9 @@
 // `intellog serve` and streaming `detect --checkpoint` both need SIGTERM/
 // SIGINT to mean "finish the current unit of work, flush a final
 // checkpoint, exit cleanly" rather than the default immediate death. The
-// handler only sets a sig_atomic_t; the work loops poll stop_signal() at
-// their own (amortized) cadence and run the drain path on the main thread,
-// so nothing async-unsafe ever happens in signal context.
+// handler only sets a lock-free std::atomic<int>; the work loops poll
+// stop_signal() at their own (amortized) cadence and run the drain path on
+// the main thread, so nothing async-unsafe ever happens in signal context.
 #pragma once
 
 namespace intellog::serve {
@@ -15,7 +15,7 @@ namespace intellog::serve {
 /// so blocking reads are interrupted and the poll loop sees the flag soon.
 void install_stop_signals();
 
-/// The last stop signal delivered, or 0 when none. One volatile read.
+/// The first stop signal delivered, or 0 when none. One atomic load.
 int stop_signal();
 
 /// Clears the flag (tests and in-process restarts).

@@ -1,5 +1,7 @@
 #include "serve/tenant.hpp"
 
+#include <dirent.h>
+#include <fcntl.h>
 #include <sys/stat.h>
 
 #include <algorithm>
@@ -27,12 +29,18 @@ double now_us() {
 
 // Spool arrival time: producers rename finished files in, so st_mtim is the
 // moment the session became visible to the daemon — the start of the
-// end-to-end latency clock. 0 on stat failure (the observation is skipped).
-std::uint64_t file_mtime_unix_ms(const std::string& path) {
-  struct ::stat st {};
-  if (::stat(path.c_str(), &st) != 0) return 0;
+// end-to-end latency clock.
+std::uint64_t mtime_unix_ms(const struct ::stat& st) {
   return static_cast<std::uint64_t>(st.st_mtim.tv_sec) * 1000u +
          static_cast<std::uint64_t>(st.st_mtim.tv_nsec) / 1000000u;
+}
+
+// Dotfiles are the daemon's own artifacts (checkpoint, ledgers), and
+// anything not *.log is a producer temp file not yet renamed in.
+bool is_spool_name(std::string_view name) {
+  constexpr std::string_view kExt = ".log";
+  return name.size() > kExt.size() && name[0] != '.' &&
+         name.substr(name.size() - kExt.size()) == kExt;
 }
 
 }  // namespace
@@ -100,33 +108,42 @@ TenantShard::TenantShard(std::string tenant, std::string spool_dir,
       // tick/shed/breaker event can name the tenant without allocating.
       flight_str_(obs::flight::flight_intern(tenant_)) {}
 
-std::vector<TenantShard::PendingFile> TenantShard::scan_spool() const {
-  std::vector<PendingFile> out;
-  std::error_code ec;
-  for (fs::directory_iterator it(spool_dir_, ec), end; !ec && it != end;
-       it.increment(ec)) {
-    if (!it->is_regular_file(ec)) continue;
-    const fs::path& p = it->path();
-    const std::string name = p.filename().string();
-    // Dotfiles are the daemon's own artifacts (checkpoint, ledgers), and
-    // anything not *.log is a producer temp file not yet renamed in.
-    if (name.empty() || name[0] == '.' || p.extension() != ".log") continue;
-    if (done_.count(name) != 0) continue;
-    std::error_code sec;
-    const std::uint64_t bytes = fs::file_size(p, sec);
-    out.push_back(PendingFile{p.string(), name, sec ? 0 : bytes,
-                              file_mtime_unix_ms(p.string())});
+void TenantShard::list_spool() {
+  const std::uint64_t gen = ++listings_;
+  if (DIR* dir = ::opendir(spool_dir_.c_str())) {
+    const int dfd = ::dirfd(dir);
+    while (const ::dirent* de = ::readdir(dir)) {
+      const std::string_view name(de->d_name);
+      if (!is_spool_name(name)) continue;
+      if (de->d_type != DT_REG && de->d_type != DT_LNK && de->d_type != DT_UNKNOWN) continue;
+      const auto ino = static_cast<std::uint64_t>(de->d_ino);
+      auto it = spool_.find(name);
+      if (it != spool_.end() && it->second.ino == ino) {
+        it->second.listed = gen;
+        continue;
+      }
+      // Indexed names are never in the done-set, so only a new name needs
+      // the lookup.
+      if (it == spool_.end() && done_.find(name) != done_.end()) continue;
+      struct ::stat st {};
+      if (::fstatat(dfd, de->d_name, &st, 0) != 0 || !S_ISREG(st.st_mode)) continue;
+      if (it == spool_.end()) it = spool_.emplace(std::string(name), SpoolEntry{}).first;
+      it->second = SpoolEntry{ino, static_cast<std::uint64_t>(st.st_size), gen};
+    }
+    ::closedir(dir);
   }
-  // Deterministic service order: name-sorted, so kill-and-resume replays
-  // the exact admission sequence of an uninterrupted run.
-  std::sort(out.begin(), out.end(),
-            [](const PendingFile& a, const PendingFile& b) { return a.name < b.name; });
-  return out;
+  for (auto it = spool_.begin(); it != spool_.end();) {
+    it = it->second.listed == gen ? std::next(it) : spool_.erase(it);
+  }
 }
 
-void TenantShard::consume_file(const PendingFile& file, std::size_t& record_budget,
-                               TickResult& out) {
-  const bool first_read = cursors_.find(file.name) == cursors_.end();
+std::string TenantShard::spool_path(const std::string& name) const {
+  return (fs::path(spool_dir_) / name).string();
+}
+
+bool TenantShard::consume_file(const std::string& name, const OpenedFile& file,
+                               std::size_t& record_budget, TickResult& out) {
+  const bool first_read = cursors_.find(name) == cursors_.end();
   logparse::SessionIngest ingest =
       logparse::read_session_file_resilient(file.path, /*system=*/{}, options_.ingest);
   if (first_read) {
@@ -149,8 +166,9 @@ void TenantShard::consume_file(const PendingFile& file, std::size_t& record_budg
         out.reports.push_back(std::move(*report));
       }
     }
-    done_.insert(file.name);
-    cursors_.erase(file.name);
+    done_.insert(name);
+    cursors_.erase(name);
+    return true;
   };
 
   auto& records = ingest.session.records;
@@ -163,19 +181,16 @@ void TenantShard::consume_file(const PendingFile& file, std::size_t& record_budg
       if (file.mtime_unix_ms != 0 && !ingest.session.container_id.empty()) {
         out.session_ingress_ms[ingest.session.container_id] = file.mtime_unix_ms;
       }
-      finish_session(model_.detect(ingest.session));
-    } else {
-      finish_session(std::nullopt);  // garbage-only file: quarantined above
+      return finish_session(model_.detect(ingest.session));
     }
-    return;
+    return finish_session(std::nullopt);  // garbage-only file: quarantined above
   }
 
-  std::uint64_t& cursor = cursors_[file.name];
+  std::uint64_t& cursor = cursors_[name];
   if (cursor >= records.size()) {
     // Shrunk or rewritten in place (spool contract violation): close what
     // we buffered rather than replaying records we already consumed.
-    finish_session(online_->close_session(ingest.session.container_id));
-    return;
+    return finish_session(online_->close_session(ingest.session.container_id));
   }
   const std::size_t take =
       std::min<std::size_t>(record_budget, records.size() - static_cast<std::size_t>(cursor));
@@ -201,14 +216,21 @@ void TenantShard::consume_file(const PendingFile& file, std::size_t& record_budg
   }
 
   if (cursor >= records.size()) {
-    finish_session(online_->close_session(ingest.session.container_id));
+    return finish_session(online_->close_session(ingest.session.container_id));
   }
+  return false;
 }
 
 TickResult TenantShard::tick() {
   TickResult out;
   out.epoch = epoch_;
   FLIGHT_EVENT_STR(kTenantTick, ticks_++, epoch_, flight_str_);
+
+  list_spool();
+  const auto count_pending = [&] {
+    out.pending_files = spool_.size();
+    for (const auto& [name, entry] : spool_) out.pending_bytes += entry.bytes;
+  };
 
   if (breaker_state_ == BreakerState::Open) {
     if (breaker_open_left_ > 0) --breaker_open_left_;
@@ -217,59 +239,68 @@ TickResult TenantShard::tick() {
       FLIGHT_EVENT_STR(kBreakerTransition, static_cast<std::uint64_t>(BreakerState::HalfOpen),
                        static_cast<std::uint64_t>(BreakerState::Open), flight_str_);
     }
-    const auto pending = scan_spool();
-    out.pending_files = pending.size();
-    for (const auto& f : pending) out.pending_bytes += f.bytes;
+    count_pending();
     return out;  // admission paused; the spool keeps the backlog lossless
   }
 
-  std::vector<PendingFile> pending = scan_spool();
-
   // --- shed pass: bounded work no matter what the producer spools -----------
   bool parse_bomb = false;
-  const auto shed_file = [&](const PendingFile& f, const char* reason) {
-    out.shed.push_back(ShedRecord{f.path, f.bytes, reason});
+  const auto shed_file = [&](SpoolIndex::iterator it, const char* reason) {
+    const std::uint64_t bytes = it->second.bytes;
+    out.shed.push_back(ShedRecord{spool_path(it->first), bytes, reason});
     ++out.files_shed;
     ++accounting_.files_shed;
-    accounting_.bytes_shed += f.bytes;
-    done_.insert(f.name);
-    cursors_.erase(f.name);
-    FLIGHT_EVENT_STR(kTenantShed, out.files_shed, f.bytes, flight_str_);
+    accounting_.bytes_shed += bytes;
+    done_.insert(it->first);
+    cursors_.erase(it->first);
+    FLIGHT_EVENT_STR(kTenantShed, out.files_shed, bytes, flight_str_);
+    return spool_.erase(it);
   };
-  std::vector<PendingFile> admissible;
   std::uint64_t backlog_bytes = 0;
-  for (const auto& f : pending) {
-    if (f.bytes > options_.quotas.max_file_bytes) {
-      shed_file(f, "parse-bomb");
+  for (auto it = spool_.begin(); it != spool_.end();) {
+    if (it->second.bytes > options_.quotas.max_file_bytes) {
+      it = shed_file(it, "parse-bomb");
       parse_bomb = true;
       continue;
     }
-    admissible.push_back(f);
-    backlog_bytes += f.bytes;
+    backlog_bytes += it->second.bytes;
+    ++it;
   }
   // Backlog overflow sheds oldest-first (freshest data keeps flowing), but
   // never a file already mid-consumption.
-  std::size_t shed_from = 0;
-  while (admissible.size() - shed_from > options_.quotas.max_backlog_files ||
-         backlog_bytes > options_.quotas.max_backlog_bytes) {
-    if (shed_from >= admissible.size()) break;
-    const PendingFile& f = admissible[shed_from];
-    if (cursors_.find(f.name) != cursors_.end()) break;  // in flight: keep
-    shed_file(f, admissible.size() - shed_from > options_.quotas.max_backlog_files
-                     ? "backlog-files"
-                     : "backlog-bytes");
-    backlog_bytes -= f.bytes;
-    ++shed_from;
+  while (!spool_.empty() && (spool_.size() > options_.quotas.max_backlog_files ||
+                             backlog_bytes > options_.quotas.max_backlog_bytes)) {
+    const auto oldest = spool_.begin();
+    if (cursors_.find(oldest->first) != cursors_.end()) break;  // in flight: keep
+    backlog_bytes -= oldest->second.bytes;
+    shed_file(oldest, spool_.size() > options_.quotas.max_backlog_files ? "backlog-files"
+                                                                         : "backlog-bytes");
   }
-  admissible.erase(admissible.begin(),
-                   admissible.begin() + static_cast<std::ptrdiff_t>(shed_from));
 
   // --- admission: quota-bounded consume, half-open probes one file ----------
   std::size_t record_budget = options_.quotas.max_records_per_tick;
   std::size_t files_opened = 0;
-  for (const auto& f : admissible) {
+  for (auto it = spool_.begin(); it != spool_.end();) {
     if (record_budget == 0 || files_opened >= options_.quotas.max_files_per_tick) break;
-    consume_file(f, record_budget, out);
+    // Measured again at open, so the parse-bomb guard and the zero-byte
+    // rule judge the file as it is read, not as it was listed. A failed
+    // stat means the file is gone: neither opened nor done.
+    OpenedFile file{spool_path(it->first)};
+    struct ::stat st {};
+    if (::stat(file.path.c_str(), &st) != 0 || !S_ISREG(st.st_mode)) {
+      it = spool_.erase(it);
+      continue;
+    }
+    it->second.bytes = static_cast<std::uint64_t>(st.st_size);
+    if (it->second.bytes > options_.quotas.max_file_bytes) {
+      it = shed_file(it, "parse-bomb");
+      parse_bomb = true;
+      continue;
+    }
+    file.bytes = it->second.bytes;
+    file.mtime_unix_ms = mtime_unix_ms(st);
+    const bool finished = consume_file(it->first, file, record_budget, out);
+    it = finished ? spool_.erase(it) : std::next(it);
     ++files_opened;
     if (breaker_state_ == BreakerState::HalfOpen) break;  // one probe file
   }
@@ -293,13 +324,7 @@ TickResult TenantShard::tick() {
     breaker_state_ = BreakerState::Closed;  // clean probe (or empty spool)
   }
 
-  out.pending_files = 0;
-  out.pending_bytes = 0;
-  for (const auto& f : admissible) {
-    if (done_.count(f.name) != 0) continue;
-    ++out.pending_files;
-    out.pending_bytes += f.bytes;
-  }
+  count_pending();
 
   // Every session the detector closed this tick (explicit, eviction) hands
   // its arrival stamp back here; the daemon observes end-to-end latency
@@ -362,7 +387,7 @@ void TenantShard::restore(const common::Json& doc) {
   // Parse everything into locals first so a malformed document cannot
   // leave the shard half-restored.
   std::map<std::string, std::uint64_t> cursors;
-  std::set<std::string> done;
+  std::set<std::string, std::less<>> done;
   TenantAccounting accounting;
   BreakerState breaker_state = BreakerState::Closed;
   std::uint64_t breaker_open_left = 0;
@@ -389,6 +414,7 @@ void TenantShard::restore(const common::Json& doc) {
   breaker_state_ = breaker_state;
   breaker_open_left_ = breaker_open_left;
   online_ = std::move(online);
+  spool_.clear();  // rebuilt by the next listing against the restored done-set
 }
 
 }  // namespace intellog::serve

@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -151,7 +152,7 @@ class TenantShard {
   BreakerState breaker_state() const { return breaker_state_; }
   const TenantAccounting& accounting() const { return accounting_; }
   const core::OnlineDetector& detector() const { return *online_; }
-  std::size_t open_sessions() const { return online_->open_sessions().size(); }
+  std::size_t open_sessions() const { return online_->open_session_count(); }
 
   /// Drains every still-open session (graceful shutdown path); returned
   /// reports are already counted into the accounting.
@@ -162,15 +163,30 @@ class TenantShard {
   std::map<std::string, std::uint64_t> take_closed_ingress();
 
  private:
-  struct PendingFile {
+  /// One listed spool file the shard has not finished. The listing measures
+  /// a name once per inode: the same name under a new d_ino (a file renamed
+  /// over it) is measured again, anything else keeps its entry.
+  struct SpoolEntry {
+    std::uint64_t ino = 0;
+    std::uint64_t bytes = 0;   ///< size at listing, refreshed at open
+    std::uint64_t listed = 0;  ///< last listing generation that saw the name
+  };
+  using SpoolIndex = std::map<std::string, SpoolEntry, std::less<>>;
+
+  /// A spool file as measured by the stat at open.
+  struct OpenedFile {
     std::string path;
-    std::string name;
     std::uint64_t bytes = 0;
-    std::uint64_t mtime_unix_ms = 0;  ///< spool arrival time (0: stat failed)
+    std::uint64_t mtime_unix_ms = 0;  ///< spool arrival time
   };
 
-  std::vector<PendingFile> scan_spool() const;
-  void consume_file(const PendingFile& file, std::size_t& record_budget, TickResult& out);
+  /// One readdir over the spool: new names join the index, names that left
+  /// the directory drop out.
+  void list_spool();
+  std::string spool_path(const std::string& name) const;
+  /// Returns true when the file is finished (joined the done-set).
+  bool consume_file(const std::string& name, const OpenedFile& file,
+                    std::size_t& record_budget, TickResult& out);
 
   std::string tenant_;
   std::string spool_dir_;
@@ -180,7 +196,12 @@ class TenantShard {
 
   std::unique_ptr<core::OnlineDetector> online_;
   std::map<std::string, std::uint64_t> cursors_;  ///< file name -> records consumed
-  std::set<std::string> done_;                    ///< fully consumed or shed
+  std::set<std::string, std::less<>> done_;       ///< fully consumed or shed
+  /// Pending files in name order (the service order kill-and-resume
+  /// replays). Not checkpointed: a restored shard rebuilds it from its
+  /// first listing.
+  SpoolIndex spool_;
+  std::uint64_t listings_ = 0;  ///< listing generation counter
   TenantAccounting accounting_;
 
   BreakerState breaker_state_ = BreakerState::Closed;

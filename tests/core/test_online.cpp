@@ -69,6 +69,7 @@ TEST_F(OnlineDetectorTest, CleanStreamProducesNoEvents) {
   // must not fire broadly.
   EXPECT_LE(events, 5u);
   EXPECT_EQ(online.open_sessions().size(), job.sessions.size());
+  EXPECT_EQ(online.open_session_count(), job.sessions.size());
   // Most closed sessions are clean.
   std::size_t anomalous = 0;
   for (const auto& r : online.close_all()) anomalous += r.anomalous();

@@ -2,10 +2,12 @@
 // and backpressure, the circuit breaker, checkpoint/restore, the stop-signal
 // flag, the stock serve alert rules, and a small end-to-end ServeDaemon run
 // (the heavyweight chaos coverage lives in tools/serve_soak).
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -93,19 +95,30 @@ void expect_accounting_eq(const serve::TenantAccounting& a, const serve::TenantA
   EXPECT_EQ(a.breaker_trips, b.breaker_trips);
 }
 
+/// What a drain produced: shed records, and the container ids of sessions
+/// closed (in closing order) and reported.
+struct DrainLog {
+  std::vector<serve::ShedRecord> shed;
+  std::vector<std::string> closed;
+  std::vector<std::string> reported;
+};
+
 /// Ticks until the shard reports an empty backlog and no open sessions (or
 /// the safety bound trips, which fails the calling test).
-std::size_t drain(serve::TenantShard& shard, std::size_t max_ticks = 200) {
-  std::size_t ticks = 0;
-  for (; ticks < max_ticks; ++ticks) {
-    const auto r = shard.tick();
+DrainLog drain(serve::TenantShard& shard, std::size_t max_ticks = 200) {
+  DrainLog log;
+  for (std::size_t ticks = 0; ticks < max_ticks; ++ticks) {
+    auto r = shard.tick();
+    for (auto& s : r.shed) log.shed.push_back(std::move(s));
+    for (const auto& [id, ms] : r.session_ingress_ms) log.closed.push_back(id);
+    for (const auto& rep : r.reports) log.reported.push_back(rep.container_id);
     if (r.pending_files == 0 && shard.open_sessions() == 0 &&
         shard.breaker_state() == serve::BreakerState::Closed) {
-      return ticks + 1;
+      return log;
     }
   }
   ADD_FAILURE() << "shard did not drain within " << max_ticks << " ticks";
-  return ticks;
+  return log;
 }
 
 class TenantShardTest : public ::testing::Test {
@@ -291,6 +304,165 @@ TEST_F(TenantShardTest, ParseBombIsShedWholeWithProvenance) {
   EXPECT_EQ(acc.sessions_closed, truth_.sessions);
 }
 
+/// Spool file names in service (name) order.
+std::vector<std::string> spool_names(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.is_regular_file() && e.path().extension() == ".log") {
+      names.push_back(e.path().filename().string());
+    }
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// Largest file in the spool: a parse-bomb cap just above it admits every
+/// clean file.
+std::uint64_t largest_file(const std::string& dir) {
+  std::uint64_t largest = 0;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.is_regular_file()) largest = std::max<std::uint64_t>(largest, e.file_size());
+  }
+  return largest;
+}
+
+/// Appends `bytes` of filler lines to `path` (creating it when absent).
+void append_filler(const std::string& path, std::uint64_t bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::app);
+  const std::string line(255, 'x');
+  for (std::uint64_t written = 0; written < bytes; written += line.size() + 1) {
+    out << line << "\n";
+  }
+}
+
+TEST_F(TenantShardTest, VanishedFileIsNeitherReportedNorCountedDone) {
+  const auto names = spool_names(dir_);
+  ASSERT_GE(names.size(), 3u);
+  serve::TenantShard::Options opt;
+  opt.quotas.max_files_per_tick = 1;
+  serve::TenantShard shard("t", dir_, model_, opt, 1);
+  const auto first = shard.tick();
+  ASSERT_EQ(first.pending_files, names.size() - 1);
+
+  // Listed on the first tick, never opened: the producer takes it back.
+  const std::string gone = names.back();
+  const std::string gone_id = fs::path(gone).stem().string();
+  const auto gone_truth = logparse::read_session_file_resilient(dir_ + "/" + gone);
+  ASSERT_FALSE(gone_truth.session.records.empty());
+  fs::remove(dir_ + "/" + gone);
+
+  const auto second = shard.tick();
+  EXPECT_EQ(second.pending_files, names.size() - 3) << "the deleted file stays pending";
+  const DrainLog log = drain(shard);
+  EXPECT_EQ(std::count(log.reported.begin(), log.reported.end(), gone_id), 0)
+      << "a vanished file was reported as a session";
+  EXPECT_EQ(std::count(log.closed.begin(), log.closed.end(), gone_id), 0);
+  const auto& acc = shard.accounting();
+  EXPECT_EQ(acc.files_done, truth_.files - 1);
+  EXPECT_EQ(acc.sessions_closed, truth_.sessions - 1);
+  EXPECT_EQ(acc.records_admitted, truth_.records - gone_truth.session.records.size());
+  EXPECT_EQ(acc.files_shed, 0u);
+}
+
+TEST_F(TenantShardTest, ListedFileRenamedOverByABombIsShedAsParseBomb) {
+  const auto names = spool_names(dir_);
+  const std::uint64_t guard = largest_file(dir_) + 4096;
+  auto opt = small_budget_options();
+  opt.quotas.max_files_per_tick = 1;
+  opt.quotas.max_file_bytes = guard;
+  serve::TenantShard shard("t", dir_, model_, opt, 1);
+  shard.tick();
+
+  // The spool contract's own move: a finished file renamed in, here over a
+  // name the shard has already listed (and measured) but not yet opened.
+  const std::string target = dir_ + "/" + names.back();
+  const auto replaced = logparse::read_session_file_resilient(target);
+  append_filler(dir_ + "/bomb.tmp", guard + 8192);
+  fs::rename(dir_ + "/bomb.tmp", target);
+
+  const DrainLog log = drain(shard);
+  ASSERT_EQ(log.shed.size(), 1u);
+  EXPECT_EQ(log.shed[0].reason, "parse-bomb");
+  EXPECT_EQ(log.shed[0].file, target);
+  EXPECT_GT(log.shed[0].bytes, guard);
+  const auto& acc = shard.accounting();
+  EXPECT_EQ(acc.files_shed, 1u);
+  EXPECT_EQ(acc.files_done, truth_.files - 1);
+  EXPECT_EQ(acc.records_admitted, truth_.records - replaced.session.records.size());
+}
+
+TEST_F(TenantShardTest, ListedFileGrownInPlaceIsShedAsParseBombAtOpen) {
+  const auto names = spool_names(dir_);
+  const std::uint64_t guard = largest_file(dir_) + 4096;
+  auto opt = small_budget_options();
+  opt.quotas.max_files_per_tick = 1;
+  opt.quotas.max_file_bytes = guard;
+  serve::TenantShard shard("t", dir_, model_, opt, 1);
+  shard.tick();
+
+  // Same inode, new size: the listing keeps its first measurement, so only
+  // the stat at open can catch the growth.
+  const std::string target = dir_ + "/" + names.back();
+  const auto grown = logparse::read_session_file_resilient(target);
+  append_filler(target, guard + 8192);
+
+  const DrainLog log = drain(shard);
+  ASSERT_EQ(log.shed.size(), 1u);
+  EXPECT_EQ(log.shed[0].reason, "parse-bomb");
+  EXPECT_EQ(log.shed[0].file, target);
+  EXPECT_GT(log.shed[0].bytes, guard);
+  const auto& acc = shard.accounting();
+  EXPECT_EQ(acc.files_shed, 1u);
+  EXPECT_EQ(acc.records_admitted, truth_.records - grown.session.records.size());
+}
+
+TEST_F(TenantShardTest, NewEarlierNameIsAdmittedInNameOrder) {
+  serve::TenantShard::Options opt;
+  opt.quotas.max_files_per_tick = 1;
+  opt.quotas.max_records_per_tick = std::size_t{1} << 30;  // one whole file per tick
+  serve::TenantShard shard("t", dir_, model_, opt, 1);
+  shard.tick();
+
+  // A producer renames in a file whose name sorts before everything the
+  // shard has already listed.
+  const auto names = spool_names(dir_);
+  fs::copy_file(dir_ + "/" + names.back(), dir_ + "/aaa_early.log");
+
+  // A fresh shard resumed from the same state lists the spool from scratch.
+  serve::TenantShard fresh("t", dir_, model_, opt, 2);
+  fresh.restore(shard.checkpoint());
+
+  const DrainLog live = drain(shard);
+  const DrainLog relisted = drain(fresh);
+  ASSERT_FALSE(live.closed.empty());
+  EXPECT_EQ(live.closed.front(), "aaa_early");
+  EXPECT_EQ(live.closed, relisted.closed);
+  std::vector<std::string> expected{"aaa_early"};
+  for (std::size_t i = 1; i < names.size(); ++i) {
+    expected.push_back(fs::path(names[i]).stem().string());
+  }
+  EXPECT_EQ(live.closed, expected);
+}
+
+TEST_F(TenantShardTest, RestoredShardRebuildsTheBacklogOnItsFirstListing) {
+  const auto opt = small_budget_options();
+  serve::TenantShard full("t", dir_, model_, opt, 1);
+  full.tick();
+  full.tick();
+  const serve::TickResult third = full.tick();
+  ASSERT_GT(third.pending_files, 0u);
+
+  serve::TenantShard partial("t", dir_, model_, opt, 1);
+  partial.tick();
+  partial.tick();
+  serve::TenantShard resumed("t", dir_, model_, opt, 2);
+  resumed.restore(partial.checkpoint());
+  const serve::TickResult first = resumed.tick();
+  EXPECT_EQ(first.pending_files, third.pending_files);
+  EXPECT_EQ(first.pending_bytes, third.pending_bytes);
+  EXPECT_EQ(first.records_admitted, third.records_admitted);
+}
+
 TEST(ServeSignalsTest, StopFlagKeepsFirstSignalAndClears) {
   serve::clear_stop_signal();
   EXPECT_EQ(serve::stop_signal(), 0);
@@ -300,6 +472,20 @@ TEST(ServeSignalsTest, StopFlagKeepsFirstSignalAndClears) {
   EXPECT_EQ(serve::stop_signal(), SIGTERM);
   serve::clear_stop_signal();
   EXPECT_EQ(serve::stop_signal(), 0);
+}
+
+TEST(ServeSignalsTest, StopRequestedFromAnotherThreadReachesThePoller) {
+  serve::clear_stop_signal();
+  // Two requesters race; exactly one signal wins and stays.
+  std::thread term([] { serve::request_stop(SIGTERM); });
+  std::thread intr([] { serve::request_stop(SIGINT); });
+  int seen = 0;
+  while ((seen = serve::stop_signal()) == 0) std::this_thread::yield();
+  term.join();
+  intr.join();
+  EXPECT_TRUE(seen == SIGTERM || seen == SIGINT) << seen;
+  EXPECT_EQ(serve::stop_signal(), seen);
+  serve::clear_stop_signal();
 }
 
 TEST(ServeRulesTest, StockRulesCoverServeGaugesAndFire) {

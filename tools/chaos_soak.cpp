@@ -248,7 +248,7 @@ int main(int argc, char** argv) {
     for (const auto& s : corrupted.sessions) {
       for (const auto& rec : s.records) {
         bounded.consume(rec);
-        caps_held = caps_held && bounded.open_sessions().size() <= limits.max_sessions &&
+        caps_held = caps_held && bounded.open_session_count() <= limits.max_sessions &&
                     bounded.total_buffered_records() <= limits.max_buffered_records;
       }
       for (const auto& r : bounded.take_evicted()) {

@@ -18,6 +18,8 @@
 #   tools/ci.sh observatory # end-to-end trace-export/explain/status checks
 #   tools/ci.sh quality    # seeded score round-trip, coverage + drift gates
 #   tools/ci.sh profile    # sampling-profiler smoke (Release + ASan/UBSan)
+#   tools/ci.sh perfbench  # end-to-end benchmark: compare.py rules + a smoke
+#                          # run of every workload against the serial reference
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -574,6 +576,16 @@ PY
   echo "http smoke: OK ($name)"
 }
 
+# Perfbench smoke: the end-to-end benchmark's own tests. They check the
+# compare.py verdict rules, then run all three workloads (spool_drain,
+# spool_trickle, batch_detect) on a small corpus, traced and untraced, and
+# fail unless every report equals the serial detect reference and the serve
+# accounting balances. This is the end-to-end check on serve admission.
+perfbench_smoke() {
+  echo "==> [perfbench] compare rules + smoke run of every workload"
+  (cd "$repo" && python3 perfbench/test_perfbench.py)
+}
+
 case "$mode" in
   release|all)
     run_config release -DCMAKE_BUILD_TYPE=Release
@@ -614,9 +626,12 @@ case "$mode" in
   asan|profile|all)
     profile_smoke asan
     ;;&
-  release|asan|bench|chaos|serve|http|flight|observatory|quality|profile|all) ;;
+  perfbench|all)
+    perfbench_smoke
+    ;;&
+  release|asan|bench|chaos|serve|http|flight|observatory|quality|profile|perfbench|all) ;;
   *)
-    echo "usage: $0 [release|asan|bench|chaos|serve|http|flight|observatory|quality|profile|all]" >&2
+    echo "usage: $0 [release|asan|bench|chaos|serve|http|flight|observatory|quality|profile|perfbench|all]" >&2
     exit 2
     ;;
 esac
