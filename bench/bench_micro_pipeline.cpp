@@ -24,6 +24,7 @@
 #include "bench/harness.hpp"
 #include "core/detect_scratch.hpp"
 #include "core/extraction.hpp"
+#include "core/online.hpp"
 #include "logparse/formatter.hpp"
 #include "logparse/log_io.hpp"
 #include "logparse/session.hpp"
@@ -557,6 +558,24 @@ void emit_harness_bench() {
       }
       extra["profiler_hotspots"] = std::move(hotspots);
     }
+  }
+
+  // Allocation discipline of the streaming entry point, gated in ci.sh:
+  // heap allocations per record inside OnlineDetector::consume (the
+  // buffered record copy, the session's Spell-key cache, new-session
+  // bookkeeping), with the sessions' closing detect outside the window.
+  {
+    core::OnlineDetector online(il);
+    obs::ProfilerOptions alloc_opts;
+    alloc_opts.sample_period_us = 100'000;  // counting allocations, not sampling
+    obs::Profiler prof(alloc_opts);
+    for (const auto& s : sessions) {
+      for (const auto& rec : s.records) (void)online.consume(rec);
+    }
+    prof.stop();
+    extra["online_consume_allocs_per_record"] =
+        static_cast<double>(prof.total_allocs()) / static_cast<double>(batch_records);
+    benchmark::DoNotOptimize(online.close_all());
   }
 
   // Flight-recorder cost: batch detection with the always-on event journal

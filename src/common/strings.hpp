@@ -6,8 +6,12 @@
 //    (entity grouping, Algorithm 1).
 #pragma once
 
+#include <charconv>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace intellog::common {
@@ -46,6 +50,20 @@ bool has_digit(std::string_view s);
 
 /// True if `s` parses as a decimal number, e.g. "12", "3.5", "-7".
 bool is_number(std::string_view s);
+
+/// Parses all of `s` as a decimal T (an integer type or double). Returns
+/// nullopt for empty input, trailing characters, a value out of T's range,
+/// or a minus sign on an unsigned type, so callers can reject a bad flag
+/// value instead of throwing from std::stoi and friends.
+template <typename T>
+std::optional<T> parse_number(std::string_view s) {
+  static_assert(std::is_integral_v<T> || std::is_same_v<T, double>);
+  T value{};
+  const char* const end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+  if (s.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
 
 /// Replaces all occurrences of `from` in `s` with `to`.
 std::string replace_all(std::string s, std::string_view from, std::string_view to);

@@ -104,12 +104,70 @@ AnomalyDetector::AnomalyDetector(const logparse::Spell& spell, const logparse::K
                                  const EntityGroups& groups, const HwGraph& graph,
                                  double expected_group_fraction)
     : spell_(spell),
-      kv_(kv),
       extractor_(extractor),
-      intel_keys_(intel_keys),
-      groups_(groups),
-      graph_(graph),
-      expected_groups_(graph.expected_groups(expected_group_fraction)) {}
+      expected_groups_(graph.expected_groups(expected_group_fraction)) {
+  // Groups are numbered in name order, so walking touched indices in
+  // ascending order visits groups as a std::map<std::string, ...> would.
+  // The HW-graph's groups are included: an expected group that no key
+  // routes to still needs an index to be reported missing.
+  std::vector<std::string_view> names;
+  for (const auto& [name, members] : groups.groups) names.push_back(name);
+  for (const auto& [entity, names_of] : groups.reverse) {
+    for (const auto& name : names_of) names.push_back(name);
+  }
+  for (const auto& [name, node] : graph.groups()) names.push_back(name);
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+  const auto index_of = [&names](std::string_view name) {
+    return static_cast<std::uint32_t>(std::lower_bound(names.begin(), names.end(), name) -
+                                      names.begin());
+  };
+
+  group_plan_.resize(names.size());
+  for (std::size_t gi = 0; gi < names.size(); ++gi) group_plan_[gi].name = names[gi];
+  for (const auto& [name, node] : graph.groups()) {
+    GroupPlan& plan = group_plan_[index_of(name)];
+    plan.node = &node;
+    // std::map order of std::set<std::string> keys is the lexicographic
+    // order of their sorted elements, so the table comes out sorted.
+    for (const auto& [signature, sub] : node.subroutines.subroutines()) {
+      plan.signatures.push_back({{signature.begin(), signature.end()}, &sub});
+    }
+  }
+
+  // A key routes its records when it is an Intel Key, not learned
+  // key-value noise (§5), and its entities map to at least one group.
+  int max_key = -1;
+  for (const auto& [id, ik] : intel_keys) max_key = std::max(max_key, id);
+  key_plan_.resize(static_cast<std::size_t>(max_key + 1));
+  for (const auto& [id, ik] : intel_keys) {
+    if (id < 0 || kv.is_learned_kv_key(id)) continue;
+    KeyPlan& plan = key_plan_[static_cast<std::size_t>(id)];
+    for (const auto& entity : ik.entities) {
+      for (const auto& g : groups.groups_of(entity)) plan.groups.push_back(index_of(g));
+    }
+    std::sort(plan.groups.begin(), plan.groups.end());
+    plan.groups.erase(std::unique(plan.groups.begin(), plan.groups.end()), plan.groups.end());
+    if (!plan.groups.empty()) plan.intel_key = &ik;
+  }
+
+  expected_index_.reserve(expected_groups_.size());
+  for (const auto& g : expected_groups_) expected_index_.push_back(index_of(g));
+}
+
+const Subroutine* AnomalyDetector::find_subroutine(const GroupPlan& group,
+                                                   const std::vector<std::string_view>& types) {
+  const auto less = [](const std::vector<std::string_view>& a,
+                       const std::vector<std::string_view>& b) {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
+  };
+  const auto it = std::lower_bound(
+      group.signatures.begin(), group.signatures.end(), types,
+      [&](const SignatureEntry& e, const std::vector<std::string_view>& t) {
+        return less(e.types, t);
+      });
+  return it != group.signatures.end() && it->types == types ? it->subroutine : nullptr;
+}
 
 AnomalyReport AnomalyDetector::detect(const logparse::Session& session) const {
   thread_local DetectScratch scratch;
@@ -120,25 +178,30 @@ AnomalyReport AnomalyDetector::detect(const logparse::Session& session,
                                       DetectScratch& scratch) const {
   PROF_FRAME("detect.session");
   scratch.reset_session();
+  scratch.begin_groups(group_plan_.size());
   AnomalyReport report;
   report.container_id = session.container_id;
   report.session_length = session.records.size();
 
-  std::map<std::string, std::vector<GroupMessage>> group_messages;
-  std::set<std::string> groups_seen;
   const bool with_evidence = evidence_enabled();
   CoverageLedger* const cov = coverage();
-  // Spell key per record (-1: no match); labels the boundary records cited
-  // as missing-group evidence. Filled from matches already computed.
-  std::vector<int> record_keys(with_evidence ? session.records.size() : 0, -1);
 
   // Per-record Spell matching, on-the-fly extraction and entity grouping.
   obs::Span extract_span("detect/extract+group", "detect");
   obs::ProfFrame scan_frame("detect.scan");
+  // Spell key per record (-1: no match). OnlineDetector::consume caches
+  // them in the session; anything else is matched here, once.
+  const std::vector<int>* record_keys = &session.spell_keys;
+  if (session.spell_keys.size() != session.records.size()) {
+    scratch.record_keys.clear();
+    for (const logparse::LogRecord& rec : session.records) {
+      scratch.record_keys.push_back(spell_.match(rec.content));
+    }
+    record_keys = &scratch.record_keys;
+  }
   for (std::size_t ri = 0; ri < session.records.size(); ++ri) {
     const logparse::LogRecord& rec = session.records[ri];
-    const int key_id = spell_.match(rec.content);
-    if (with_evidence) record_keys[ri] = key_id;
+    const int key_id = (*record_keys)[ri];
     if (cov && key_id >= 0) cov->stamp_log_key(key_id);
     if (key_id < 0) {
       // Unexpected log message: run extraction on the fly (§4.2).
@@ -162,87 +225,74 @@ AnomalyReport AnomalyDetector::detect(const logparse::Session& session,
       report.unexpected.push_back(std::move(u));
       continue;
     }
-    if (kv_.is_learned_kv_key(key_id)) continue;  // learned key-value noise (§5)
-    const auto ik_it = intel_keys_.find(key_id);
-    if (ik_it == intel_keys_.end()) continue;
-    const IntelKey& ik = ik_it->second;
-
-    // Target groups as sorted-unique pointers into EntityGroups' stable
-    // strings: same visit order a std::set<std::string> gave, none of its
-    // node/string allocations. Resolved before extraction so records whose
-    // entities map to no group skip identifier extraction entirely — their
-    // GroupMessage would be discarded unread.
-    scratch.target_groups.clear();
-    for (const auto& entity : ik.entities) {
-      for (const auto& g : groups_.groups_of(entity)) scratch.target_groups.push_back(&g);
-    }
-    if (scratch.target_groups.empty()) continue;
-    std::sort(scratch.target_groups.begin(), scratch.target_groups.end(),
-              [](const std::string* a, const std::string* b) { return *a < *b; });
-    scratch.target_groups.erase(
-        std::unique(scratch.target_groups.begin(), scratch.target_groups.end(),
-                    [](const std::string* a, const std::string* b) { return *a == *b; }),
-        scratch.target_groups.end());
+    if (static_cast<std::size_t>(key_id) >= key_plan_.size()) continue;
+    const KeyPlan& plan = key_plan_[static_cast<std::size_t>(key_id)];
+    if (plan.intel_key == nullptr) continue;
 
     GroupMessage gm;
     gm.key_id = key_id;
-    extractor_.instantiate_identifiers(ik, spell_.key(key_id), rec, scratch, gm.ids);
+    extractor_.instantiate_identifiers(*plan.intel_key, spell_.key(key_id), rec, scratch,
+                                       gm.ids);
     gm.record_index = ri;
     gm.timestamp_ms = rec.timestamp_ms;
-    for (std::size_t gi = 0; gi < scratch.target_groups.size(); ++gi) {
-      const std::string& g = *scratch.target_groups[gi];
-      auto& bucket = group_messages[g];
-      if (gi + 1 == scratch.target_groups.size()) {
-        bucket.push_back(std::move(gm));
-      } else {
-        bucket.push_back(gm);
+    for (std::size_t i = 0; i < plan.groups.size(); ++i) {
+      const std::uint32_t g = plan.groups[i];
+      if (!scratch.group_seen[g]) {
+        scratch.group_seen[g] = 1;
+        scratch.touched_groups.push_back(g);
       }
-      groups_seen.insert(g);
+      if (i + 1 == plan.groups.size()) {
+        scratch.buckets[g].push_back(std::move(gm));
+      } else {
+        scratch.buckets[g].push_back(gm);
+      }
     }
   }
+  std::sort(scratch.touched_groups.begin(), scratch.touched_groups.end());
 
   extract_span.close();
   scan_frame.close();
 
   // An edge is exercised when both endpoint groups appeared this session.
-  if (cov) cov->stamp_edges(groups_seen);
+  if (cov) {
+    scratch.seen_group_names.clear();
+    for (const std::uint32_t g : scratch.touched_groups) {
+      scratch.seen_group_names.push_back(group_plan_[g].name);
+    }
+    cov->stamp_edges(scratch.seen_group_names);
+  }
 
   // HW-graph instance checks: missing groups, then subroutine structure.
   obs::Span check_span("detect/hwgraph_check", "detect");
   PROF_FRAME("detect.hwgraph_check");
   // Expected groups that never appeared -> erroneous HW-graph instance.
-  for (const auto& g : expected_groups_) {
-    if (!groups_seen.count(g)) {
-      GroupIssue issue;
-      issue.kind = GroupIssue::Kind::MissingGroup;
-      issue.group = g;
-      if (with_evidence) {
-        const auto git = graph_.groups().find(g);
-        if (git != graph_.groups().end()) {
-          issue.evidence = build_missing_group_evidence(session, git->second, record_keys);
-        }
-      }
-      report.issues.push_back(std::move(issue));
+  for (std::size_t i = 0; i < expected_groups_.size(); ++i) {
+    const GroupPlan& group = group_plan_[expected_index_[i]];
+    if (scratch.group_seen[expected_index_[i]]) continue;
+    GroupIssue issue;
+    issue.kind = GroupIssue::Kind::MissingGroup;
+    issue.group = expected_groups_[i];
+    if (with_evidence && group.node) {
+      issue.evidence = build_missing_group_evidence(session, *group.node, *record_keys);
     }
+    report.issues.push_back(std::move(issue));
   }
 
-  // Subroutine instances checked against the trained model. The map is
-  // dead after this loop, so each bucket's messages move into their
-  // instances instead of being copied.
-  for (auto& [gname, messages] : group_messages) {
-    const auto git = graph_.groups().find(gname);
-    if (git == graph_.groups().end()) continue;
-    const SubroutineModel& model = git->second.subroutines;
-    if (model.empty()) continue;
-    const std::size_t n_instances = partition_instances(std::move(messages), scratch);
+  // Subroutine instances checked against the trained model, groups in
+  // name order. Each bucket's messages move into their instances.
+  for (const std::uint32_t g : scratch.touched_groups) {
+    const GroupPlan& group = group_plan_[g];
+    if (group.node == nullptr || group.node->subroutines.empty()) continue;
+    const std::size_t n_instances = partition_instances(std::move(scratch.buckets[g]), scratch);
     for (std::size_t ii = 0; ii < n_instances; ++ii) {
-      const SubroutineInstance& inst = scratch.instances[ii];
-      const auto check = model.check(inst, scratch);
+      SubroutineInstance& inst = scratch.instances[ii];
+      const Subroutine* trained = find_subroutine(group, inst.types);
+      const auto check = SubroutineModel::check_against(trained, inst, scratch);
       if (cov) cov->stamp_subroutine(check.matched);
       if (check.ok()) continue;
       GroupIssue issue;
-      issue.group = gname;
-      issue.signature = inst.signature;
+      issue.group = group.name;
+      issue.signature.insert(inst.types.begin(), inst.types.end());
       if (!check.known_signature) {
         issue.kind = GroupIssue::Kind::UnknownSignature;
       } else if (!check.missing_critical.empty()) {
@@ -253,9 +303,7 @@ AnomalyReport AnomalyDetector::detect(const logparse::Session& session,
         issue.violated_orders = check.order_violations;
       }
       if (with_evidence) {
-        const auto sit = model.subroutines().find(inst.signature);
-        const Subroutine* trained =
-            sit == model.subroutines().end() ? nullptr : &sit->second;
+        inst.signature = issue.signature;  // cited by the evidence text
         issue.evidence = build_instance_evidence(session, trained, inst, check);
       }
       report.issues.push_back(std::move(issue));

@@ -14,6 +14,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/entity_grouping.hpp"
@@ -100,6 +101,12 @@ struct AnomalyReport {
   common::Json to_json() const;
 };
 
+/// Detects anomalies in sessions against one trained model. The
+/// constructor compiles a detect plan over the model: entity groups are
+/// numbered in name order, each Intel Key maps to its sorted target group
+/// indices, and each group index to its trained node and signature table.
+/// The plan points into the model's containers, so the detector must be
+/// rebuilt whenever the model moves or is reloaded (IntelLog does).
 class AnomalyDetector {
  public:
   AnomalyDetector(const logparse::Spell& spell, const logparse::KvFilter& kv,
@@ -108,6 +115,9 @@ class AnomalyDetector {
                   double expected_group_fraction);
 
   /// Delegates to the scratch overload via a thread-local DetectScratch.
+  /// A session whose `spell_keys` has one entry per record is not matched
+  /// again: those keys are taken as this model's Spell matches. Any other
+  /// session is matched record by record.
   AnomalyReport detect(const logparse::Session& session) const;
 
   /// Scratch-threaded detect for batch shards: the caller owns the scratch
@@ -137,13 +147,32 @@ class AnomalyDetector {
   CoverageLedger* coverage() const { return coverage_.load(std::memory_order_acquire); }
 
  private:
+  /// A trained signature, sorted like std::set<std::string>, and its
+  /// subroutine.
+  struct SignatureEntry {
+    std::vector<std::string_view> types;
+    const Subroutine* subroutine = nullptr;
+  };
+  struct GroupPlan {
+    std::string_view name;
+    const GroupNode* node = nullptr;         ///< null: not in the HW-graph
+    std::vector<SignatureEntry> signatures;  ///< sorted by types
+  };
+  struct KeyPlan {
+    const IntelKey* intel_key = nullptr;  ///< null: the key is not routed
+    std::vector<std::uint32_t> groups;    ///< target group indices, ascending
+  };
+
+  /// The trained subroutine of `group` whose signature is `types`, or null.
+  static const Subroutine* find_subroutine(const GroupPlan& group,
+                                           const std::vector<std::string_view>& types);
+
   const logparse::Spell& spell_;
-  const logparse::KvFilter& kv_;
   const InfoExtractor& extractor_;
-  const std::map<int, IntelKey>& intel_keys_;
-  const EntityGroups& groups_;
-  const HwGraph& graph_;
   std::vector<std::string> expected_groups_;
+  std::vector<GroupPlan> group_plan_;           ///< by group index (name order)
+  std::vector<KeyPlan> key_plan_;               ///< by key id
+  std::vector<std::uint32_t> expected_index_;   ///< parallel to expected_groups_
   std::atomic<bool> evidence_enabled_{true};
   std::atomic<CoverageLedger*> coverage_{nullptr};
 };

@@ -179,14 +179,16 @@ void CoverageLedger::stamp_edge(const std::string& a, const std::string& b) {
   stamp(edges_, edge_component_key(a, b));
 }
 
-void CoverageLedger::stamp_edges(const std::set<std::string>& groups_seen) {
+void CoverageLedger::stamp_edges(std::span<const std::string_view> groups_seen) {
   // Resolve the (few) seen groups to ids once, then walk only their
   // adjacency — the model's full edge list is never touched. Membership
-  // is a flat byte array over dense group ids (local: detect() runs
-  // concurrently across shards), so the inner test is a single load.
-  std::vector<std::uint8_t> seen_flags(edge_adjacency_.size(), 0);
-  std::vector<std::size_t> seen;
-  seen.reserve(groups_seen.size());
+  // is a flat byte array over dense group ids (per thread: detect() runs
+  // concurrently across shards; reused, so a session allocates nothing),
+  // so the inner test is a single load.
+  thread_local std::vector<std::uint8_t> seen_flags;
+  thread_local std::vector<std::size_t> seen;
+  seen_flags.assign(edge_adjacency_.size(), 0);
+  seen.clear();
   for (const auto& g : groups_seen) {
     const auto it = group_ids_.find(g);
     if (it != group_ids_.end()) {

@@ -19,9 +19,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -54,10 +57,11 @@ class CoverageLedger {
   void stamp_subroutine(const Subroutine* sub);
   void stamp_edge(const std::string& a, const std::string& b);
   /// Stamps every relation whose both endpoint groups appear in
-  /// `groups_seen`. Walks the precomputed adjacency of the seen groups —
-  /// integer slots only, no string building — so the per-session cost
-  /// scales with the session's groups, not the model's edge count.
-  void stamp_edges(const std::set<std::string>& groups_seen);
+  /// `groups_seen` (distinct names). Walks the precomputed adjacency of
+  /// the seen groups — integer slots only, no string building — so the
+  /// per-session cost scales with the session's groups, not the model's
+  /// edge count.
+  void stamp_edges(std::span<const std::string_view> groups_seen);
 
   /// Zeroes every counter (the universe is unchanged).
   void reset();
@@ -100,7 +104,12 @@ class CoverageLedger {
   /// key id -> slot (-1: unknown); Spell ids are dense, so a flat array
   /// makes the per-record stamp one bounds check + one relaxed increment.
   std::vector<std::int32_t> log_key_slots_;
-  std::unordered_map<std::string, std::size_t> group_ids_;
+  /// Transparent hash: stamp_edges() looks names up by view.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
+  };
+  std::unordered_map<std::string, std::size_t, NameHash, std::equal_to<>> group_ids_;
   /// per group id: signature -> subroutine slot (same key shape as the
   /// SubroutineModel's own map, so no string building on the hot path).
   std::vector<std::map<std::set<std::string>, std::size_t>> subroutine_slots_;

@@ -19,6 +19,16 @@ void DetectScratch::reset_session() {
   arena.reset();
 }
 
+void DetectScratch::begin_groups(std::size_t n_groups) {
+  for (const std::uint32_t g : touched_groups) {
+    buckets[g].clear();
+    group_seen[g] = 0;
+  }
+  touched_groups.clear();
+  if (buckets.size() < n_groups) buckets.resize(n_groups);
+  if (group_seen.size() < n_groups) group_seen.resize(n_groups, 0);
+}
+
 std::size_t detect_arena_bytes_peak() {
   return g_arena_bytes_peak.load(std::memory_order_relaxed);
 }

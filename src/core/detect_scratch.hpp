@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -42,24 +43,39 @@ struct DetectScratch {
   std::vector<char*> field_ptr;            ///< pass-2 write cursor per field
   std::vector<std::string_view> fields;    ///< assembled fields (arena bytes)
 
-  /// Detection's per-record entity-group set, as sorted-unique pointers
-  /// into EntityGroups' stable strings (replaces a std::set<std::string>).
-  std::vector<const std::string*> target_groups;
+  // Per-group session state, indexed by the detector's compiled group
+  // index: the group's messages, whether it appeared, and the groups
+  // touched this session. begin_groups() resets only what was touched.
+  std::vector<std::vector<GroupMessage>> buckets;
+  std::vector<unsigned char> group_seen;
+  std::vector<std::uint32_t> touched_groups;
+  std::vector<std::string_view> seen_group_names;  ///< coverage edge stamping
+  /// Spell key per record, for sessions that carry no cached keys.
+  std::vector<int> record_keys;
 
-  // partition_instances working set: per-message "TYPE:value" strings
-  // assembled into reused buffers (capacity survives across messages),
-  // probed through sorted-unique views.
-  std::vector<std::string> id_concat;
-  std::vector<std::string_view> id_views;
+  // partition_instances working set: "TYPE:value" pairs interned to
+  // bucket-local ids through an open-addressing table, posting lists from
+  // each id to the instances holding it, and per-instance hit counters.
+  struct InternedId {
+    std::string_view type;
+    std::string_view value;
+  };
+  std::vector<InternedId> interned;          ///< id -> its pair (views into messages)
+  std::vector<std::uint32_t> intern_slots;   ///< hash slot -> id + 1 (0: empty)
+  std::vector<std::uint32_t> msg_values;     ///< one message's sorted-unique ids
+  std::vector<std::vector<std::uint32_t>> postings;  ///< id -> instances holding it
+  std::vector<std::uint32_t> hits;           ///< instance -> message ids it holds
+  std::vector<std::uint32_t> hit_list;       ///< instances with nonzero hits
+  std::vector<std::uint32_t> id_order;       ///< ids in string order (materializing)
 
-  // SubroutineModel::check working set, reused instance to instance.
+  // SubroutineModel::check_against working set, reused instance to instance.
   std::vector<int> check_keys;
   std::vector<std::pair<int, std::size_t>> check_first_pos;
 
-  /// Instance pool for the scratch partition_instances overload: elements
-  /// are reused bucket to bucket so their messages/id_values buffers keep
-  /// their capacity. Only the first `n` returned by that overload are
-  /// meaningful; later elements are stale previous-bucket state.
+  /// Instance pool for partition_instances: elements are reused bucket to
+  /// bucket so their buffers keep their capacity. Only the first `n` it
+  /// returns are meaningful; later elements are stale previous-bucket
+  /// state.
   std::vector<SubroutineInstance> instances;
   std::vector<GroupMessage> none_messages;  ///< NONE-sequence accumulator
 
@@ -67,6 +83,11 @@ struct DetectScratch {
   /// high-water mark in the process-wide peak reported by
   /// detect_arena_bytes_peak(). Call at session boundaries.
   void reset_session();
+
+  /// Clears the group state the previous session touched and sizes the
+  /// per-group tables for `n_groups` groups. A scratch may serve several
+  /// models, so the tables only ever grow.
+  void begin_groups(std::size_t n_groups);
 };
 
 /// Largest bytes_peak() any DetectScratch arena has reached so far

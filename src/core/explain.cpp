@@ -4,6 +4,7 @@
 #include <map>
 #include <stdexcept>
 
+#include "core/detect_scratch.hpp"
 #include "obs/profile/profile.hpp"
 
 namespace intellog::core {
@@ -390,10 +391,11 @@ WorkflowView build_workflow_view(const IntelLog& model, const logparse::Session&
     if (!ordered.count(g)) order.push_back(g);  // map iteration is id-sorted
   }
 
+  DetectScratch scratch;
   for (const std::string& gname : order) {
     const auto it = group_messages.find(gname);
     if (it == group_messages.end()) continue;
-    const std::vector<GroupMessage>& messages = it->second;
+    std::vector<GroupMessage>& messages = it->second;
     GroupSpanView gv;
     gv.group = gname;
     gv.message_count = messages.size();
@@ -404,7 +406,9 @@ WorkflowView build_workflow_view(const IntelLog& model, const logparse::Session&
       gv.last_ms = std::max(gv.last_ms, m.timestamp_ms);
       gv.hits.push_back({m.key_id, m.record_index, m.timestamp_ms});
     }
-    for (const SubroutineInstance& inst : partition_instances(messages)) {
+    const std::size_t n_instances = partition_instances(std::move(messages), scratch, true);
+    for (std::size_t ii = 0; ii < n_instances; ++ii) {
+      const SubroutineInstance& inst = scratch.instances[ii];
       SubroutineView sv;
       sv.signature = inst.signature;
       sv.id_values.insert(inst.id_values.begin(), inst.id_values.end());

@@ -245,16 +245,18 @@ void IntelLog::train(const std::vector<logparse::Session>& sessions) {
     PROF_FRAME("train.hwgraph");
     obs::ScopedTimerMs timer(stage_hist("hwgraph"));
     HwGraphBuilder builder;
-    for (const SessionView& view : views) {
+    DetectScratch scratch;
+    for (SessionView& view : views) {
       builder.add_session(view.spans);
-      for (const auto& [gname, messages] : view.group_messages) {
+      for (auto& [gname, messages] : view.group_messages) {
         GroupNode& node = graph_.group(gname);
         std::map<int, int> key_counts;
         for (const auto& m : messages) {
           node.keys.insert(m.key_id);
           if (++key_counts[m.key_id] >= 2) node.repeated_key_in_session = true;
         }
-        node.subroutines.update(partition_instances(messages));
+        const std::size_t n = partition_instances(std::move(messages), scratch, true);
+        node.subroutines.update({scratch.instances.data(), n});
       }
     }
     builder.finalize(graph_);

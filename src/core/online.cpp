@@ -56,12 +56,18 @@ void OnlineDetector::update_gauges() {
 }
 
 void OnlineDetector::touch(const std::string& container_id, SessionState& state) {
-  if (state.lru_seq != 0) lru_.erase(state.lru_seq);
+  // Re-key the session's existing node: no erase, no container id copy.
+  auto node = state.lru_seq != 0 ? lru_.extract(state.lru_seq) : decltype(lru_)::node_type{};
   state.lru_seq = ++seq_;
-  lru_.emplace(state.lru_seq, container_id);
+  if (node) {
+    node.key() = state.lru_seq;
+    lru_.insert(std::move(node));
+  } else {
+    lru_.emplace(state.lru_seq, container_id);
+  }
 }
 
-logparse::Session OnlineDetector::detach(std::map<std::string, SessionState>::iterator it) {
+logparse::Session OnlineDetector::detach(SessionMap::iterator it) {
   SessionState& state = it->second;
   total_records_ -= state.session.records.size();
   if (state.lru_seq != 0) lru_.erase(state.lru_seq);
@@ -100,11 +106,13 @@ std::optional<OnlineDetector::Event> OnlineDetector::consume(const logparse::Log
   const std::uint64_t t0 = tel_.consume_us ? obs::monotonic_ns() : 0;
   if (tel_.records) tel_.records->add(1);
 
-  SessionState& state = open_[record.container_id.str()];
-  if (state.session.container_id.empty()) {
-    state.session.container_id = record.container_id.str();
-    state.first_seen_ms = record.timestamp_ms;
+  auto it = open_.find(record.container_id.view());
+  if (it == open_.end()) {
+    it = open_.emplace(record.container_id.str(), SessionState{}).first;
+    it->second.session.container_id = it->first;
+    it->second.first_seen_ms = record.timestamp_ms;
   }
+  SessionState& state = it->second;
   // Earliest arrival wins: a session spanning several spool files is as
   // old as its oldest file.
   if (ingress_unix_ms != 0 &&
@@ -121,6 +129,10 @@ std::optional<OnlineDetector::Event> OnlineDetector::consume(const logparse::Log
 
   std::optional<Event> out;
   const int key_id = model_.spell().match(record.content);
+  // Cache the match for detect. A restored session starts without keys
+  // and stays stale, so detect re-matches it.
+  std::vector<int>& keys = state.session.spell_keys;
+  if (keys.size() + 1 == state.session.records.size()) keys.push_back(key_id);
   if (key_id < 0) {
     // Unexpected message: surface immediately with on-the-fly extraction.
     Event event;

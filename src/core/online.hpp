@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -183,11 +184,15 @@ class OnlineDetector {
     obs::Histogram* consume_us = nullptr;
   };
 
+  /// Open sessions by container id; the transparent comparator lets
+  /// consume() look a record's id up without building a string.
+  using SessionMap = std::map<std::string, SessionState, std::less<>>;
+
   void update_gauges();
   void touch(const std::string& container_id, SessionState& state);
   /// Removes a session's bookkeeping (lru entry, record count) and returns
   /// its Session. The open_ entry itself is erased by the caller's iterator.
-  logparse::Session detach(std::map<std::string, SessionState>::iterator it);
+  logparse::Session detach(SessionMap::iterator it);
   /// Evicts LRU sessions until the caps hold, pushing degraded reports
   /// into evicted_.
   void enforce_caps();
@@ -195,7 +200,7 @@ class OnlineDetector {
   const IntelLog& model_;
   std::size_t jobs_;
   Limits limits_;
-  std::map<std::string, SessionState> open_;
+  SessionMap open_;
   std::map<std::uint64_t, std::string> lru_;  ///< lru_seq -> container id
   std::uint64_t seq_ = 0;
   std::size_t total_records_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string_view>
+#include <type_traits>
 
 #include "core/detect_scratch.hpp"
 #include "obs/profile/profile.hpp"
@@ -10,25 +11,86 @@ namespace intellog::core {
 
 namespace {
 
-std::set<std::string> type_set(const std::vector<IdentifierValue>& ids) {
-  std::set<std::string> out;
-  for (const auto& iv : ids) out.insert(iv.type);
-  return out;
+// An interned identifier stands for the string type + ":" + value. Two
+// pairs name the same string even when they split it differently ("A:b",
+// "c" against "A", "b:c"), so hashing, equality and order all run over
+// the joined bytes without building them.
+using InternedId = DetectScratch::InternedId;
+
+std::size_t joined_size(const InternedId& id) { return id.type.size() + 1 + id.value.size(); }
+
+unsigned char joined_at(const InternedId& id, std::size_t i) {
+  if (i < id.type.size()) return static_cast<unsigned char>(id.type[i]);
+  if (i == id.type.size()) return ':';
+  return static_cast<unsigned char>(id.value[i - id.type.size() - 1]);
 }
 
-// Both ranges are sorted by the same lexicographic order (std::sort's and
-// the sorted-unique invariant's operator< agree once everything is viewed
-// as string_view), so std::includes with a view comparator answers a ⊆ b
-// across the vector-of-string / vector-of-view mix without materializing
-// anything.
-constexpr auto view_less = [](std::string_view x, std::string_view y) { return x < y; };
-
-bool subset(const std::vector<std::string_view>& a, const std::vector<std::string>& b) {
-  return std::includes(b.begin(), b.end(), a.begin(), a.end(), view_less);
+std::uint64_t joined_hash(const InternedId& id) {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
+  const auto mix = [&h](unsigned char c) {
+    h ^= c;
+    h *= 1099511628211ull;
+  };
+  for (const char c : id.type) mix(static_cast<unsigned char>(c));
+  mix(':');
+  for (const char c : id.value) mix(static_cast<unsigned char>(c));
+  return h;
 }
 
-bool subset(const std::vector<std::string>& a, const std::vector<std::string_view>& b) {
-  return std::includes(b.begin(), b.end(), a.begin(), a.end(), view_less);
+bool joined_equal(const InternedId& a, const InternedId& b) {
+  if (a.type.size() == b.type.size()) return a.type == b.type && a.value == b.value;
+  if (joined_size(a) != joined_size(b)) return false;
+  for (std::size_t i = 0; i < joined_size(a); ++i) {
+    if (joined_at(a, i) != joined_at(b, i)) return false;
+  }
+  return true;
+}
+
+// std::string's operator< on the joined strings (unsigned byte order).
+bool joined_less(const InternedId& a, const InternedId& b) {
+  const std::size_t n = std::min(joined_size(a), joined_size(b));
+  for (std::size_t i = 0; i < n; ++i) {
+    const unsigned char x = joined_at(a, i);
+    const unsigned char y = joined_at(b, i);
+    if (x != y) return x < y;
+  }
+  return joined_size(a) < joined_size(b);
+}
+
+// Sizes the intern table for up to `n_ids` distinct ids (load <= 1/2).
+void reset_interner(DetectScratch& s, std::size_t n_ids) {
+  for (std::size_t i = 0; i < s.interned.size(); ++i) s.postings[i].clear();
+  s.interned.clear();
+  std::size_t cap = 16;
+  while (cap < 2 * n_ids) cap *= 2;
+  s.intern_slots.assign(cap, 0);
+}
+
+std::uint32_t intern(DetectScratch& s, const IdentifierValue& iv) {
+  const InternedId key{iv.type, iv.value};
+  const std::size_t mask = s.intern_slots.size() - 1;
+  for (std::size_t slot = joined_hash(key) & mask;; slot = (slot + 1) & mask) {
+    const std::uint32_t entry = s.intern_slots[slot];
+    if (entry == 0) {
+      const auto id = static_cast<std::uint32_t>(s.interned.size());
+      s.interned.push_back(key);
+      if (s.postings.size() < s.interned.size()) s.postings.emplace_back();
+      s.intern_slots[slot] = id + 1;
+      return id;
+    }
+    if (joined_equal(s.interned[entry - 1], key)) return entry - 1;
+  }
+}
+
+// Adds `msg`'s identifier types to `inst`'s sorted-unique type views. The
+// message must already sit in inst.messages, whose elements' identifier
+// buffers stay put when the instance or its message vector moves.
+void add_types(SubroutineInstance& inst, const GroupMessage& msg) {
+  for (const IdentifierValue& iv : msg.ids) {
+    const std::string_view t = iv.type;
+    const auto it = std::lower_bound(inst.types.begin(), inst.types.end(), t);
+    if (it == inst.types.end() || *it != t) inst.types.insert(it, t);
+  }
 }
 
 }  // namespace
@@ -39,90 +101,111 @@ std::set<int> SubroutineInstance::key_set() const {
   return out;
 }
 
-std::size_t partition_instances(std::vector<GroupMessage>&& messages, DetectScratch& s) {
+std::size_t partition_instances(std::vector<GroupMessage>&& messages, DetectScratch& s,
+                                bool materialize_strings) {
   PROF_FRAME("detect.partition");
+  // The type views and interned pairs point into identifier buffers that
+  // only a move keeps in place; a copying reallocation would strand them.
+  static_assert(std::is_nothrow_move_constructible_v<SubroutineInstance> &&
+                std::is_nothrow_move_constructible_v<GroupMessage>);
   std::size_t used = 0;
-  // Pool acquisition: a recycled element's vectors keep their capacity, so
-  // steady-state instance creation only pays for signature set nodes.
   const auto acquire = [&]() -> SubroutineInstance& {
     if (used == s.instances.size()) s.instances.emplace_back();
+    if (s.hits.size() <= used) s.hits.resize(used + 1, 0);
     SubroutineInstance& inst = s.instances[used++];
-    inst.signature.clear();
     inst.id_values.clear();
+    inst.signature.clear();
     inst.messages.clear();
+    inst.value_ids.clear();
+    inst.types.clear();
     return inst;
   };
+  std::size_t n_ids = 0;
+  for (const GroupMessage& msg : messages) n_ids += msg.ids.size();
+  reset_interner(s, n_ids);
   s.none_messages.clear();  // the NONE-keyed sequence (Line 5)
+
   for (GroupMessage& msg : messages) {
-    // S_v assembled in reused scratch buffers: the "TYPE:value" strings
-    // keep their capacity across messages, so after warm-up the working
-    // set costs no allocations where the std::set it replaces paid one
-    // node per identifier per message. Sorted-unique views reproduce the
-    // set's element sequence exactly.
-    if (s.id_concat.size() < msg.ids.size()) s.id_concat.resize(msg.ids.size());
-    s.id_views.clear();
-    for (std::size_t i = 0; i < msg.ids.size(); ++i) {
-      std::string& buf = s.id_concat[i];
-      buf.assign(msg.ids[i].type);
-      buf += ':';
-      buf += msg.ids[i].value;
-      s.id_views.push_back(buf);
-    }
-    std::sort(s.id_views.begin(), s.id_views.end());
-    s.id_views.erase(std::unique(s.id_views.begin(), s.id_views.end()), s.id_views.end());
-    if (s.id_views.empty()) {
+    // S_v as sorted-unique interned ids.
+    s.msg_values.clear();
+    for (const IdentifierValue& iv : msg.ids) s.msg_values.push_back(intern(s, iv));
+    std::sort(s.msg_values.begin(), s.msg_values.end());
+    s.msg_values.erase(std::unique(s.msg_values.begin(), s.msg_values.end()),
+                       s.msg_values.end());
+    if (s.msg_values.empty()) {
       s.none_messages.push_back(std::move(msg));
       continue;
     }
-    bool placed = false;
-    for (std::size_t ii = 0; ii < used; ++ii) {
-      SubroutineInstance& inst = s.instances[ii];
-      if (subset(s.id_views, inst.id_values) || subset(inst.id_values, s.id_views)) {
-        // Merge: insert only genuinely new values at their sorted slot —
-        // nothing is built for values the instance already holds, and a
-        // short new value lands in the inserted string's SSO buffer.
-        for (const std::string_view v : s.id_views) {
-          const auto it =
-              std::lower_bound(inst.id_values.begin(), inst.id_values.end(), v, view_less);
-          if (it == inst.id_values.end() || std::string_view(*it) != v)
-            inst.id_values.insert(it, std::string(v));
-        }
-        for (const auto& iv : msg.ids) inst.signature.insert(iv.type);
-        inst.messages.push_back(std::move(msg));
-        placed = true;
-        break;
+    // hits[i] = |S_v ∩ instance i|. S_v ⊆ i when it equals |S_v|, and
+    // i ⊆ S_v when it equals |i|; Algorithm 2 takes the earliest such i.
+    // An instance sharing no value with S_v is neither (instances are
+    // never empty), so the posting lists reach every candidate.
+    for (const std::uint32_t v : s.msg_values) {
+      for (const std::uint32_t ii : s.postings[v]) {
+        if (s.hits[ii]++ == 0) s.hit_list.push_back(ii);
       }
     }
-    if (!placed) {
-      SubroutineInstance& inst = acquire();
-      inst.signature = type_set(msg.ids);
-      inst.id_values.reserve(s.id_views.size());
-      for (const std::string_view v : s.id_views) inst.id_values.emplace_back(v);
-      inst.messages.push_back(std::move(msg));
+    std::size_t best = used;
+    for (const std::uint32_t ii : s.hit_list) {
+      const std::size_t h = s.hits[ii];
+      if (ii < best && (h == s.msg_values.size() || h == s.instances[ii].value_ids.size())) {
+        best = ii;
+      }
     }
+    const bool msg_is_subset = best < used && s.hits[best] == s.msg_values.size();
+    for (const std::uint32_t ii : s.hit_list) s.hits[ii] = 0;
+    s.hit_list.clear();
+
+    if (best < used) {
+      SubroutineInstance& inst = s.instances[best];
+      if (!msg_is_subset) {
+        // The instance grows to S_v: post it under the values it lacked.
+        for (const std::uint32_t v : s.msg_values) {
+          if (!std::binary_search(inst.value_ids.begin(), inst.value_ids.end(), v)) {
+            s.postings[v].push_back(static_cast<std::uint32_t>(best));
+          }
+        }
+        inst.value_ids.assign(s.msg_values.begin(), s.msg_values.end());
+      }
+      inst.messages.push_back(std::move(msg));
+      add_types(inst, inst.messages.back());
+      continue;
+    }
+    const auto index = static_cast<std::uint32_t>(used);
+    SubroutineInstance& inst = acquire();
+    inst.value_ids.assign(s.msg_values.begin(), s.msg_values.end());
+    for (const std::uint32_t v : s.msg_values) s.postings[v].push_back(index);
+    inst.messages.push_back(std::move(msg));
+    add_types(inst, inst.messages.back());
   }
   if (!s.none_messages.empty()) {
-    // NONE comes last, as in the returning overloads. The swap circulates
-    // buffer capacity between the accumulator and the pool slot.
+    // NONE comes last. The swap circulates buffer capacity between the
+    // accumulator and the pool slot.
     acquire().messages.swap(s.none_messages);
+  }
+
+  if (materialize_strings) {
+    for (std::size_t ii = 0; ii < used; ++ii) {
+      SubroutineInstance& inst = s.instances[ii];
+      s.id_order.assign(inst.value_ids.begin(), inst.value_ids.end());
+      std::sort(s.id_order.begin(), s.id_order.end(), [&](std::uint32_t a, std::uint32_t b) {
+        return joined_less(s.interned[a], s.interned[b]);
+      });
+      inst.id_values.reserve(s.id_order.size());
+      for (const std::uint32_t v : s.id_order) {
+        const InternedId& id = s.interned[v];
+        std::string joined;
+        joined.reserve(joined_size(id));
+        joined.append(id.type).append(1, ':').append(id.value);
+        inst.id_values.push_back(std::move(joined));
+      }
+      inst.signature.insert(inst.types.begin(), inst.types.end());
+    }
   }
   return used;
 }
 
-std::vector<SubroutineInstance> partition_instances(std::vector<GroupMessage>&& messages) {
-  thread_local DetectScratch scratch;
-  const std::size_t used = partition_instances(std::move(messages), scratch);
-  std::vector<SubroutineInstance> out;
-  out.reserve(used);
-  for (std::size_t i = 0; i < used; ++i) out.push_back(std::move(scratch.instances[i]));
-  return out;
-}
-
-std::vector<SubroutineInstance> partition_instances(const std::vector<GroupMessage>& messages) {
-  return partition_instances(std::vector<GroupMessage>(messages));
-}
-
-void SubroutineModel::update(const std::vector<SubroutineInstance>& instances) {
+void SubroutineModel::update(std::span<const SubroutineInstance> instances) {
   for (const auto& inst : instances) {
     Subroutine& sub = subs_[inst.signature];
     sub.signature = inst.signature;
@@ -173,20 +256,21 @@ void SubroutineModel::update(const std::vector<SubroutineInstance>& instances) {
 SubroutineModel::InstanceCheck SubroutineModel::check(
     const SubroutineInstance& inst, std::size_t min_instances_for_order) const {
   thread_local DetectScratch scratch;
-  return check(inst, scratch, min_instances_for_order);
+  const auto it = subs_.find(inst.signature);
+  return check_against(it == subs_.end() ? nullptr : &it->second, inst, scratch,
+                       min_instances_for_order);
 }
 
-SubroutineModel::InstanceCheck SubroutineModel::check(
-    const SubroutineInstance& inst, DetectScratch& s,
-    std::size_t min_instances_for_order) const {
+SubroutineModel::InstanceCheck SubroutineModel::check_against(
+    const Subroutine* sub_ptr, const SubroutineInstance& inst, DetectScratch& s,
+    std::size_t min_instances_for_order) {
   PROF_FRAME("detect.check");
   InstanceCheck out;
-  const auto it = subs_.find(inst.signature);
-  if (it == subs_.end()) {
+  if (sub_ptr == nullptr) {
     out.known_signature = false;
     return out;
   }
-  const Subroutine& sub = it->second;
+  const Subroutine& sub = *sub_ptr;
   out.matched = &sub;
   // Flat sorted-unique key list instead of a std::set: check() runs once
   // per instance on the detection hot path and the set's node allocations

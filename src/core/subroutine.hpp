@@ -14,7 +14,9 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,33 +36,35 @@ struct GroupMessage {
 
 /// A subroutine instance: messages bound together by shared identifiers.
 struct SubroutineInstance {
-  /// "TYPE:value" strings (S_v), sorted and unique; empty = NONE. A flat
-  /// vector instead of a std::set: short strings stay in SSO buffers, so
-  /// the detect path's frequent inserts cost no node allocations. The
-  /// element sequence is exactly what set iteration produced.
+  /// "TYPE:value" strings (S_v), sorted and unique; empty = NONE. Filled
+  /// only when partition_instances() is asked to materialize strings
+  /// (training, explain); detection reads `value_ids` instead.
   std::vector<std::string> id_values;
-  std::set<std::string> signature;  ///< identifier types
+  /// Identifier types, materialized like `id_values`.
+  std::set<std::string> signature;
   std::vector<GroupMessage> messages;
+  /// S_v interned: ids local to the partitioned bucket, sorted. Equal ids
+  /// mean equal "TYPE:value" strings.
+  std::vector<std::uint32_t> value_ids;
+  /// The signature as sorted-unique views into this instance's own
+  /// messages' identifier types (std::set<std::string> order). Moving the
+  /// instance or its messages keeps them valid; copying does not.
+  std::vector<std::string_view> types;
 
   std::set<int> key_set() const;
 };
 
-/// Algorithm 2, lines 5-15: partition one session's group messages.
-std::vector<SubroutineInstance> partition_instances(const std::vector<GroupMessage>& messages);
-
-/// Move overload for callers done with `messages` (the detect hot path):
-/// each message — identifier strings included — moves into its instance
-/// instead of being deep-copied. Same partition, same order.
-std::vector<SubroutineInstance> partition_instances(std::vector<GroupMessage>&& messages);
-
-/// Scratch variant for the detection hot path: partitions into
-/// `scratch.instances`, reusing pooled elements so their messages and
-/// id_values buffers keep their capacity bucket to bucket, and assembling
-/// the per-message "TYPE:value" working set in reused scratch buffers
-/// instead of a fresh std::set<std::string>. Returns the number of leading
-/// pool elements that form this bucket's partition — same instances, same
-/// order as the returning overloads.
-std::size_t partition_instances(std::vector<GroupMessage>&& messages, DetectScratch& scratch);
+/// Algorithm 2, lines 5-15: partitions one session's group messages into
+/// `scratch.instances` and returns how many leading pool elements form
+/// the partition (instances in creation order, NONE last). Each message
+/// moves into its instance. Messages are compared through bucket-local
+/// interned "TYPE:value" ids, and posting lists find the earliest instance
+/// that is a subset or superset of a message, so the cost is linear in
+/// the identifier occurrences the bucket's instances share. With
+/// `materialize_strings` each instance's `id_values` and `signature` are
+/// filled too; the partition is the same either way.
+std::size_t partition_instances(std::vector<GroupMessage>&& messages, DetectScratch& scratch,
+                                bool materialize_strings = false);
 
 /// A learned subroutine for one identifier-type signature.
 struct Subroutine {
@@ -78,8 +82,12 @@ struct Subroutine {
 /// The per-entity-group subroutine model (UpdateSubroutine state).
 class SubroutineModel {
  public:
-  /// Training: consume one session's instances.
-  void update(const std::vector<SubroutineInstance>& instances);
+  /// Training: consume one session's instances (`signature` must be
+  /// materialized).
+  void update(std::span<const SubroutineInstance> instances);
+  void update(const std::vector<SubroutineInstance>& instances) {
+    update(std::span<const SubroutineInstance>(instances));
+  }
 
   /// Detection: issues found in one instance against the learned model.
   struct InstanceCheck {
@@ -103,11 +111,13 @@ class SubroutineModel {
   InstanceCheck check(const SubroutineInstance& instance,
                       std::size_t min_instances_for_order = 20) const;
 
-  /// Scratch variant for the detection hot path: the per-check key and
-  /// first-position working vectors live in `scratch` instead of being
-  /// allocated per call. Identical result to the plain overload.
-  InstanceCheck check(const SubroutineInstance& instance, DetectScratch& scratch,
-                      std::size_t min_instances_for_order = 20) const;
+  /// check() against an already-resolved subroutine (`sub`: the trained
+  /// subroutine of the instance's signature, null when unknown). The
+  /// per-check working vectors live in `scratch`. The detection hot path
+  /// resolves `sub` through its compiled plan instead of a set lookup.
+  static InstanceCheck check_against(const Subroutine* sub, const SubroutineInstance& instance,
+                                     DetectScratch& scratch,
+                                     std::size_t min_instances_for_order = 20);
 
   const std::map<std::set<std::string>, Subroutine>& subroutines() const { return subs_; }
   bool empty() const { return subs_.empty(); }

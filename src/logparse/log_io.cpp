@@ -87,7 +87,7 @@ Session read_session_file(const std::string& path, std::string_view system) {
   const std::string container = fs::path(path).stem().string();
   if (!fmt) {
     if (!all_lines_empty(lines)) count_skipped_file(path);
-    return Session{container, std::string(system), path, {}, nullptr};
+    return Session{container, std::string(system), path, {}, nullptr, {}};
   }
   auto storage = std::make_shared<SessionStorage>();
   storage->mapping = std::move(mapping);

@@ -41,6 +41,12 @@ struct Session {
   /// ingest). Owned-record sessions leave it null. Copying or moving the
   /// Session shares/transfers the backing, so either is always safe.
   std::shared_ptr<SessionStorage> storage;
+  /// Spell key of each record (-1: no match), cached by the streaming
+  /// detector as it consumes them so detection does not match again.
+  /// Detection trusts it only while it has exactly one entry per record;
+  /// code that edits `records` must clear it (appending without a key
+  /// leaves it stale, which is safe: detection re-matches).
+  std::vector<int> spell_keys;
 
   std::size_t length() const { return records.size(); }
 

@@ -200,3 +200,22 @@ TEST_P(EditDistanceProperty, TriangleAndIdentity) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, EditDistanceProperty, ::testing::Range(0, 25));
+
+TEST(ParseNumber, AcceptsWholeDecimalValues) {
+  EXPECT_EQ(sc::parse_number<int>("42"), 42);
+  EXPECT_EQ(sc::parse_number<int>("-7"), -7);
+  EXPECT_EQ(sc::parse_number<std::uint64_t>("18446744073709551615"),
+            std::uint64_t{18446744073709551615ull});
+  EXPECT_EQ(sc::parse_number<double>("0.02"), 0.02);
+}
+
+TEST(ParseNumber, RejectsWhatStoiWouldThrowOnOrTruncate) {
+  EXPECT_EQ(sc::parse_number<std::uint64_t>("b"), std::nullopt);
+  EXPECT_EQ(sc::parse_number<int>(""), std::nullopt);
+  EXPECT_EQ(sc::parse_number<int>("12abc"), std::nullopt);   // stoi: 12
+  EXPECT_EQ(sc::parse_number<int>(" 5"), std::nullopt);
+  EXPECT_EQ(sc::parse_number<int>("99999999999"), std::nullopt);  // out of range
+  EXPECT_EQ(sc::parse_number<std::size_t>("-1"), std::nullopt);  // stoul wraps
+  EXPECT_EQ(sc::parse_number<double>("1e999"), std::nullopt);
+  EXPECT_EQ(sc::parse_number<double>("nanx"), std::nullopt);
+}

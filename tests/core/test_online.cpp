@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <map>
 
+#include "core/model_io.hpp"
 #include "obs/metrics.hpp"
+#include "simsys/eval_workload.hpp"
 #include "simsys/workload.hpp"
 
 using namespace intellog;
@@ -255,4 +259,177 @@ TEST_F(OnlineDetectorTest, BufferedRecordCounts) {
   // Records with no container id are dropped.
   rec.container_id = "";
   EXPECT_FALSE(online.consume(rec).has_value());
+}
+
+// --- match once: OnlineDetector caches each record's Spell key ---------------
+
+namespace {
+
+/// Feeds `sessions` round-robin, one record each in turn, so sessions
+/// interleave while each keeps its own record order.
+void consume_round_robin(core::OnlineDetector& online,
+                         const std::vector<logparse::Session>& sessions) {
+  for (std::size_t ri = 0;; ++ri) {
+    bool any = false;
+    for (const auto& s : sessions) {
+      if (ri >= s.records.size()) continue;
+      online.consume(s.records[ri]);
+      any = true;
+    }
+    if (!any) return;
+  }
+}
+
+/// The detection workload's non-empty sessions (a stream never sees an
+/// empty one), stopping once more than `max_sessions` are collected.
+std::vector<logparse::Session> table6_sessions(const std::string& system,
+                                               std::size_t max_sessions = SIZE_MAX) {
+  std::vector<logparse::Session> out;
+  for (auto& job : simsys::detection_workload(system, 3030)) {
+    for (auto& s : job.result.sessions) {
+      if (!s.records.empty()) out.push_back(std::move(s));
+    }
+    if (out.size() > max_sessions) break;
+  }
+  return out;
+}
+
+/// Report dumps by container, compared key by key so a failure names the
+/// differing sessions instead of printing both corpora.
+void expect_same_reports(const std::map<std::string, std::string>& got,
+                         const std::map<std::string, std::string>& want,
+                         const std::string& what) {
+  EXPECT_EQ(got.size(), want.size()) << what;
+  std::size_t differing = 0;
+  for (const auto& [id, dump] : want) {
+    const auto it = got.find(id);
+    if (it != got.end() && it->second == dump) continue;
+    if (++differing <= 3) ADD_FAILURE() << what << ": report differs for " << id;
+  }
+  EXPECT_EQ(differing, 0u) << what;
+}
+
+std::map<std::string, std::string> dumps(const std::vector<core::AnomalyReport>& reports) {
+  std::map<std::string, std::string> out;
+  for (const auto& r : reports) out[r.container_id] = r.to_json().dump();
+  return out;
+}
+
+std::map<std::string, std::string> serial_dumps(const core::IntelLog& model,
+                                                const std::vector<logparse::Session>& sessions) {
+  std::map<std::string, std::string> out;
+  for (const auto& s : sessions) out[s.container_id] = model.detect(s).to_json().dump();
+  return out;
+}
+
+core::IntelLog train_system(const std::string& system, int jobs) {
+  simsys::ClusterSpec cluster;
+  simsys::WorkloadGenerator gen(system, 2024);
+  std::vector<logparse::Session> train;
+  for (int i = 0; i < jobs; ++i) {
+    for (auto& s : simsys::run_job(gen.training_job(), cluster).sessions) {
+      train.push_back(std::move(s));
+    }
+  }
+  core::IntelLog model;
+  model.train(train);
+  return model;
+}
+
+}  // namespace
+
+TEST(MatchOnce, OnlineReportsEqualDetectOnTable6Corpora) {
+  for (const std::string system : {"spark", "mapreduce", "tez"}) {
+    const core::IntelLog model = train_system(system, 12);
+    const std::vector<logparse::Session> sessions = table6_sessions(system);
+    const auto want = serial_dumps(model, sessions);
+    std::size_t anomalous = 0;
+    for (const auto& [id, dump] : want) {
+      anomalous += dump.find("\"anomalous\":true") != std::string::npos;
+    }
+    EXPECT_GT(anomalous, 0u) << system;
+    for (const std::size_t jobs : {1u, 4u}) {
+      core::OnlineDetector online(model, jobs);
+      consume_round_robin(online, sessions);
+      expect_same_reports(dumps(online.close_all()), want,
+                          system + " jobs=" + std::to_string(jobs));
+    }
+  }
+}
+
+TEST_F(OnlineDetectorTest, CheckpointMidSessionRestoresByteIdenticalReports) {
+  simsys::ClusterSpec cluster;
+  simsys::WorkloadGenerator gen("spark", 74);
+  simsys::FaultPlan fault = gen.make_fault(simsys::ProblemKind::NetworkFailure, cluster);
+  fault.at_fraction = 0.4;
+  const auto job = simsys::run_job(gen.detection_job(1), cluster, fault);
+  std::vector<logparse::Session> first = job.sessions, rest = job.sessions;
+  for (std::size_t i = 0; i < job.sessions.size(); ++i) {
+    const std::size_t half = job.sessions[i].records.size() / 2;
+    first[i].records.resize(half);
+    rest[i].records.erase(rest[i].records.begin(), rest[i].records.begin() + half);
+  }
+  core::OnlineDetector straight(*model);
+  consume_round_robin(straight, job.sessions);
+  const auto want = dumps(straight.close_all());
+  expect_same_reports(want, serial_dumps(*model, job.sessions), "straight");
+  std::size_t anomalous = 0;
+  for (const auto& [id, dump] : want) {
+    anomalous += dump.find("\"anomalous\":true") != std::string::npos;
+  }
+  EXPECT_GT(anomalous, 0u);
+
+  core::OnlineDetector before(*model);
+  consume_round_robin(before, first);
+  // The restored sessions carry no cached keys: detect re-matches them.
+  core::OnlineDetector resumed = core::OnlineDetector::restore(*model, before.checkpoint());
+  consume_round_robin(resumed, rest);
+  expect_same_reports(dumps(resumed.close_all()), want, "resumed");
+}
+
+TEST_F(OnlineDetectorTest, SpellKeysAreTrustedOnlyAtFullLength) {
+  simsys::ClusterSpec cluster;
+  simsys::WorkloadGenerator gen("spark", 75);
+  const auto job = simsys::run_job(gen.detection_job(0), cluster);
+  const logparse::Session& session = job.sessions.front();
+  ASSERT_GT(session.records.size(), 2u);
+  const std::string want = model->detect(session).to_json().dump();
+
+  // Stale caches (short, long, empty) are ignored and the records re-matched.
+  for (const std::size_t n :
+       {std::size_t{0}, session.records.size() - 1, session.records.size() + 1}) {
+    logparse::Session stale = session;
+    stale.spell_keys.assign(n, -1);
+    EXPECT_EQ(model->detect(stale).to_json().dump(), want) << "keys=" << n;
+  }
+  // A full-length cache is taken as the model's matches, unverified.
+  logparse::Session cached = session;
+  for (const auto& rec : session.records) {
+    cached.spell_keys.push_back(model->spell().match(rec.content));
+  }
+  EXPECT_EQ(model->detect(cached).to_json().dump(), want);
+  cached.spell_keys.assign(session.records.size(), -1);
+  EXPECT_EQ(model->detect(cached).unexpected.size(), session.records.size());
+}
+
+TEST(MatchOnce, PlanIsRebuiltAfterMoveAndLoad) {
+  core::IntelLog trained = train_system("mapreduce", 8);
+  const std::vector<logparse::Session> sessions = table6_sessions("mapreduce", 300);
+  const auto want = serial_dumps(trained, sessions);
+
+  core::IntelLog moved(std::move(trained));
+  expect_same_reports(serial_dumps(moved, sessions), want, "moved");
+  core::IntelLog assigned;
+  assigned = std::move(moved);
+  expect_same_reports(serial_dumps(assigned, sessions), want, "move-assigned");
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "intellog_match_once_model.json").string();
+  core::save_model_file(assigned, path);
+  const core::IntelLog loaded = core::load_model_file(path);
+  std::filesystem::remove(path);
+  expect_same_reports(serial_dumps(loaded, sessions), want, "loaded");
+  core::OnlineDetector online(loaded, 2);
+  consume_round_robin(online, sessions);
+  expect_same_reports(dumps(online.close_all()), want, "loaded, streamed");
 }

@@ -1,8 +1,13 @@
 #include "core/subroutine.hpp"
 
+#include "core/detect_scratch.hpp"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
+#include "core/extraction.hpp"
 
 using namespace intellog::core;
 
@@ -21,10 +26,20 @@ IdentifierValue id(std::string type, std::string value) {
   return {std::move(type), std::move(value)};
 }
 
+/// The partition with materialized strings, moved out of a fresh scratch
+/// (moves keep each instance's type views valid).
+std::vector<SubroutineInstance> partition(std::vector<GroupMessage> messages) {
+  DetectScratch scratch;
+  const std::size_t n = partition_instances(std::move(messages), scratch, true);
+  std::vector<SubroutineInstance> out;
+  for (std::size_t i = 0; i < n; ++i) out.push_back(std::move(scratch.instances[i]));
+  return out;
+}
+
 }  // namespace
 
 TEST(PartitionInstances, NoIdsGoToNoneInstance) {
-  const auto instances = partition_instances({msg(1, {}), msg(2, {})});
+  const auto instances = partition({msg(1, {}), msg(2, {})});
   ASSERT_EQ(instances.size(), 1u);
   EXPECT_TRUE(instances[0].id_values.empty());
   EXPECT_TRUE(instances[0].signature.empty());
@@ -33,7 +48,7 @@ TEST(PartitionInstances, NoIdsGoToNoneInstance) {
 
 TEST(PartitionInstances, SubsetMatchingMergesSequences) {
   // Fig. 1 flow: {F:1} then {F:1, A:a05} then {F:1, A:a05} again.
-  const auto instances = partition_instances({
+  const auto instances = partition({
       msg(1, {id("FETCHER", "1"), id("ATTEMPT", "a05")}, 0),
       msg(2, {id("FETCHER", "1"), id("ATTEMPT", "a05")}, 1),
       msg(3, {id("FETCHER", "1")}, 2),
@@ -44,7 +59,7 @@ TEST(PartitionInstances, SubsetMatchingMergesSequences) {
 }
 
 TEST(PartitionInstances, DisjointIdsSplitInstances) {
-  const auto instances = partition_instances({
+  const auto instances = partition({
       msg(1, {id("BLOCK", "rdd_0_1")}, 0),
       msg(1, {id("BLOCK", "rdd_0_2")}, 1),
   });
@@ -53,7 +68,7 @@ TEST(PartitionInstances, DisjointIdsSplitInstances) {
 
 TEST(PartitionInstances, SameValueDifferentTypeDoesNotMerge) {
   // "TID 3" and "SPILL 3" share the numeral but not the identifier.
-  const auto instances = partition_instances({
+  const auto instances = partition({
       msg(1, {id("TID", "3")}, 0),
       msg(2, {id("SPILL", "3")}, 1),
   });
@@ -61,7 +76,7 @@ TEST(PartitionInstances, SameValueDifferentTypeDoesNotMerge) {
 }
 
 TEST(PartitionInstances, NoneKeyedSequenceIsSeparate) {
-  const auto instances = partition_instances({
+  const auto instances = partition({
       msg(1, {id("BM", "bm1")}, 0),
       msg(2, {}, 1),
       msg(3, {id("BM", "bm1")}, 2),
@@ -70,6 +85,140 @@ TEST(PartitionInstances, NoneKeyedSequenceIsSeparate) {
   // With-identifier instance has keys {1,3}; NONE instance has {2}.
   EXPECT_EQ(instances[0].key_set(), (std::set<int>{1, 3}));
   EXPECT_EQ(instances[1].key_set(), (std::set<int>{2}));
+}
+
+// --- Partition oracle ----------------------------------------------------------
+//
+// The reference is Algorithm 2 as first written: S_v as a set of
+// "TYPE:value" strings, and a linear scan for the earliest instance that is
+// a subset or superset of it. The interned, posting-list routine must give
+// the same instances, in the same order, with the same id_values,
+// signatures and messages.
+
+struct ReferencePartition {
+  std::vector<SubroutineInstance> instances;
+  std::size_t subset_merges = 0;    ///< message ⊆ instance
+  std::size_t superset_merges = 0;  ///< instance ⊊ message
+};
+
+ReferencePartition reference_partition(const std::vector<GroupMessage>& messages) {
+  ReferencePartition out;
+  SubroutineInstance none;
+  for (const GroupMessage& m : messages) {
+    std::set<std::string> sv;
+    for (const auto& iv : m.ids) sv.insert(iv.type + ":" + iv.value);
+    if (sv.empty()) {
+      none.messages.push_back(m);
+      continue;
+    }
+    bool placed = false;
+    for (SubroutineInstance& inst : out.instances) {
+      std::set<std::string> have(inst.id_values.begin(), inst.id_values.end());
+      const bool sub = std::includes(have.begin(), have.end(), sv.begin(), sv.end());
+      const bool super = std::includes(sv.begin(), sv.end(), have.begin(), have.end());
+      if (!sub && !super) continue;
+      (sub ? out.subset_merges : out.superset_merges)++;
+      have.insert(sv.begin(), sv.end());
+      inst.id_values.assign(have.begin(), have.end());
+      for (const auto& iv : m.ids) inst.signature.insert(iv.type);
+      inst.messages.push_back(m);
+      placed = true;
+      break;
+    }
+    if (!placed) {
+      SubroutineInstance inst;
+      inst.id_values.assign(sv.begin(), sv.end());
+      for (const auto& iv : m.ids) inst.signature.insert(iv.type);
+      inst.messages.push_back(m);
+      out.instances.push_back(std::move(inst));
+    }
+  }
+  if (!none.messages.empty()) out.instances.push_back(std::move(none));
+  return out;
+}
+
+/// A random bucket: NONE messages, repeated values, one value under two
+/// types, types that split "TYPE:value" differently ("A:b" + "c" against
+/// "A" + "b:c"), long values past the SSO buffer, and types inferred from
+/// the value the way detection infers them for untyped key fields.
+std::vector<GroupMessage> random_bucket(intellog::common::Rng& rng) {
+  static const std::vector<std::string> kTypes = {"ATTEMPT", "TASK", "A", "A:b", "FETCHER"};
+  static const std::vector<std::string> kValues = {
+      "1", "2", "c", "b:c", "attempt_1445144423722_0020_m_000001_0", "blk_1073741825",
+      "container_1445144423722_0020_01_000004", "10.0.0.7:50010"};
+  std::vector<GroupMessage> bucket;
+  const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 24));
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<IdentifierValue> ids;
+    if (!rng.chance(0.15)) {
+      const auto k = rng.uniform_int(1, 3);
+      for (std::int64_t j = 0; j < k; ++j) {
+        const std::string& value = kValues[rng.uniform(kValues.size())];
+        std::string type = rng.chance(0.2) ? InfoExtractor::infer_id_type(value, {})
+                                           : kTypes[rng.uniform(kTypes.size())];
+        ids.push_back(id(std::move(type), value));
+        if (rng.chance(0.1)) ids.push_back(ids.back());  // repeated value
+      }
+    }
+    bucket.push_back(msg(static_cast<int>(rng.uniform(6)), std::move(ids), i));
+  }
+  return bucket;
+}
+
+TEST(PartitionOracle, MatchesLinearStringAlgorithmOnRandomBuckets) {
+  intellog::common::Rng rng(20190622);
+  DetectScratch scratch;  // reused across buckets, as detection does
+  std::size_t subset_merges = 0, superset_merges = 0, none_instances = 0, split_pairs = 0;
+  for (int round = 0; round < 2000; ++round) {
+    const std::vector<GroupMessage> bucket = random_bucket(rng);
+    const ReferencePartition want = reference_partition(bucket);
+    subset_merges += want.subset_merges;
+    superset_merges += want.superset_merges;
+    for (const GroupMessage& m : bucket) {
+      for (const auto& iv : m.ids) split_pairs += iv.type == "A:b" && iv.value == "c";
+    }
+    const std::size_t n = partition_instances(std::vector<GroupMessage>(bucket), scratch, true);
+    ASSERT_EQ(n, want.instances.size()) << "round " << round;
+    for (std::size_t i = 0; i < n; ++i) {
+      const SubroutineInstance& got = scratch.instances[i];
+      const SubroutineInstance& ref = want.instances[i];
+      none_instances += ref.id_values.empty();
+      EXPECT_EQ(got.id_values, ref.id_values) << "round " << round << " instance " << i;
+      EXPECT_EQ(got.signature, ref.signature) << "round " << round << " instance " << i;
+      EXPECT_EQ(std::vector<std::string>(got.types.begin(), got.types.end()),
+                std::vector<std::string>(ref.signature.begin(), ref.signature.end()));
+      ASSERT_EQ(got.messages.size(), ref.messages.size()) << "round " << round;
+      for (std::size_t m = 0; m < got.messages.size(); ++m) {
+        EXPECT_EQ(got.messages[m].record_index, ref.messages[m].record_index);
+        EXPECT_EQ(got.messages[m].key_id, ref.messages[m].key_id);
+      }
+    }
+  }
+  // The buckets exercised every branch of Algorithm 2.
+  EXPECT_GT(subset_merges, 100u);
+  EXPECT_GT(superset_merges, 100u);
+  EXPECT_GT(none_instances, 100u);
+  EXPECT_GT(split_pairs, 100u);
+}
+
+TEST(PartitionOracle, JoinedStringDecidesIdentity) {
+  // "A:b" + "c" and "A" + "b:c" both spell "A:b:c": one identifier.
+  const auto instances = partition({msg(1, {id("A:b", "c")}, 0), msg(2, {id("A", "b:c")}, 1)});
+  ASSERT_EQ(instances.size(), 1u);
+  EXPECT_EQ(instances[0].id_values, (std::vector<std::string>{"A:b:c"}));
+  EXPECT_EQ(instances[0].signature, (std::set<std::string>{"A", "A:b"}));
+}
+
+TEST(PartitionOracle, DetectionFormSkipsStrings) {
+  DetectScratch scratch;
+  const std::size_t n = partition_instances(
+      {msg(1, {id("TASK", "t1")}, 0), msg(2, {id("TASK", "t1"), id("ATTEMPT", "a1")}, 1)},
+      scratch);
+  ASSERT_EQ(n, 1u);
+  EXPECT_TRUE(scratch.instances[0].id_values.empty());
+  EXPECT_TRUE(scratch.instances[0].signature.empty());
+  EXPECT_EQ(scratch.instances[0].value_ids.size(), 2u);
+  EXPECT_EQ(scratch.instances[0].types, (std::vector<std::string_view>{"ATTEMPT", "TASK"}));
 }
 
 // --- UpdateSubroutine / Fig. 5 ------------------------------------------------

@@ -36,6 +36,7 @@
 #include "logparse/log_io.hpp"
 #include "simsys/corruptor.hpp"
 #include "simsys/workload.hpp"
+#include "numeric_flag.hpp"
 
 using namespace intellog;
 
@@ -105,10 +106,10 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) std::exit(usage());
       return argv[++i];
     };
-    if (arg == "--seed") seed = std::stoull(next());
-    else if (arg == "--intensity") intensity = std::stod(next());
+    if (arg == "--seed") seed = tools::numeric_flag<std::uint64_t>("chaos_soak", arg, next());
+    else if (arg == "--intensity") intensity = tools::numeric_flag<double>("chaos_soak", arg, next());
     else if (arg == "--workdir") workdir = next();
-    else if (arg == "--jobs") gen_jobs = std::stoul(next());
+    else if (arg == "--jobs") gen_jobs = tools::numeric_flag<std::size_t>("chaos_soak", arg, next());
     else if (arg == "--keep") keep = true;
     else return usage();
   }

@@ -78,7 +78,15 @@ run_config() {
 #                                       for scheduling noise)
 #   detect_allocs_per_record <= 10      arena-backed detect hot path (the
 #                                       pre-arena pipeline paid ~50; ~6.5
-#                                       after the rewrite)
+#                                       after the rewrite, ~2.3 with the
+#                                       compiled detect plan)
+#   online_consume_allocs_per_record <= 6.5
+#                                       OnlineDetector::consume: 6.25 with
+#                                       the id lookup by view, the LRU node
+#                                       re-keyed in place and the Spell-key
+#                                       cache; 9.16 before (a string per
+#                                       lookup, an LRU node + id copy per
+#                                       record). Counts are deterministic.
 # The overhead ratios are order-alternated interleaved-pair medians, and
 # the mmap/getline and alloc gates compare two fresh measurements, so all
 # of them are self-relative and need no baseline entry to be meaningful.
@@ -113,6 +121,7 @@ bench_smoke() {
     --extra-range flight_disabled_ratio=0.90:1.10 \
     --extra-ratio-min ingest_mmap_lines_per_s/ingest_getline_lines_per_s=1.8 \
     --extra-max detect_allocs_per_record=10 \
+    --extra-max online_consume_allocs_per_record=6.5 \
     --extra-max scrape_overhead_ratio=1.05
 }
 

@@ -30,6 +30,7 @@
 #include "logparse/log_io.hpp"
 #include "simsys/eval_workload.hpp"
 #include "simsys/workload.hpp"
+#include "numeric_flag.hpp"
 
 using namespace intellog;
 
@@ -65,10 +66,10 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--system") system = next();
-    else if (arg == "--jobs") jobs = std::stoi(next());
-    else if (arg == "--seed") seed = std::stoull(next());
+    else if (arg == "--jobs") jobs = tools::numeric_flag<int>("loggen", arg, next());
+    else if (arg == "--seed") seed = tools::numeric_flag<std::uint64_t>("loggen", arg, next());
     else if (arg == "--fault") fault_name = next();
-    else if (arg == "--fault-node") fault_node = std::stoi(next());
+    else if (arg == "--fault-node") fault_node = tools::numeric_flag<int>("loggen", arg, next());
     else if (arg == "--low-memory") low_memory = true;
     else if (arg == "--labels") labels_path = next();
     else if (arg == "--table6") table6 = true;

@@ -46,6 +46,7 @@
 #include "serve/daemon.hpp"
 #include "simsys/corruptor.hpp"
 #include "simsys/workload.hpp"
+#include "numeric_flag.hpp"
 
 using namespace intellog;
 namespace fs = std::filesystem;
@@ -165,9 +166,9 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) std::exit(usage());
       return argv[++i];
     };
-    if (arg == "--seed") seed = std::stoull(next());
+    if (arg == "--seed") seed = tools::numeric_flag<std::uint64_t>("serve_soak", arg, next());
     else if (arg == "--workdir") workdir = next();
-    else if (arg == "--jobs") gen_jobs = std::stoul(next());
+    else if (arg == "--jobs") gen_jobs = tools::numeric_flag<std::size_t>("serve_soak", arg, next());
     else if (arg == "--keep") keep = true;
     else return usage();
   }
