@@ -164,9 +164,10 @@ void walk_tree(const FrameNode* node, std::string& path, Fn&& fn) {
   }
 }
 
-/// Aggregates one counter over the tree, keyed by path text. Two sibling
-/// nodes can share a name (duplicate string literals across TUs, or a
-/// benign concurrent-insert race), so exports merge by path.
+/// Aggregates one counter over the tree, keyed by path text. descend()
+/// never publishes two siblings with the same name pointer, but equal names
+/// at distinct literal addresses (duplicate string literals across TUs)
+/// still make distinct nodes, so exports merge by path.
 template <typename Get>
 std::map<std::string, std::uint64_t> collect_by_path(const FrameNode* root,
                                                      Get&& get) {
@@ -286,19 +287,33 @@ void Profiler::delete_children(FrameNode* node) {
 }
 
 FrameNode* Profiler::descend(FrameNode* parent, const char* name) {
-  for (FrameNode* c = parent->first_child.load(std::memory_order_acquire);
-       c != nullptr; c = c->next_sibling) {
+  FrameNode* head = parent->first_child.load(std::memory_order_acquire);
+  for (FrameNode* c = head; c != nullptr; c = c->next_sibling) {
     if (c->name == name) return c;
   }
   auto* node = new FrameNode();
   node->name = name;
   node->parent = parent;
-  FrameNode* head = parent->first_child.load(std::memory_order_acquire);
-  do {
+  // Siblings are only ever pushed at the head and never removed while the
+  // session runs, so the list from `checked` onwards is known not to hold
+  // `name`. A failed CAS reloads `head` with acquire, which synchronizes
+  // with every earlier push (each is a release RMW on first_child); only
+  // the nodes published since `checked` need looking at before retrying.
+  FrameNode* checked = head;
+  for (;;) {
     node->next_sibling = head;
-  } while (!parent->first_child.compare_exchange_weak(
-      head, node, std::memory_order_release, std::memory_order_acquire));
-  return node;
+    if (parent->first_child.compare_exchange_weak(
+            head, node, std::memory_order_release, std::memory_order_acquire)) {
+      return node;
+    }
+    for (FrameNode* c = head; c != checked; c = c->next_sibling) {
+      if (c->name == name) {
+        delete node;  // never published: no other thread can see it
+        return c;
+      }
+    }
+    checked = head;
+  }
 }
 
 double Profiler::duration_ms() const {
@@ -346,7 +361,7 @@ std::string Profiler::collapsed_alloc() const {
 }
 
 common::Json Profiler::to_json() const {
-  // Merge nodes by path first (duplicate literals / insert races), then
+  // Merge nodes by path first (duplicate literals across TUs), then
   // compute cumulative counts from the merged rows: a row's cumulative
   // value is its self value plus every row it path-prefixes.
   struct Row {

@@ -169,6 +169,10 @@ class Profiler {
   std::string hot_table(std::size_t n) const;
 
   /// get-or-create `name` under `parent`. Lock-free; used by ProfFrame.
+  /// Threads that enter the same new frame at once all get the one node
+  /// that won the publishing CAS: a loser rescans only the siblings pushed
+  /// since its last scan and frees its own unpublished node on a match.
+  /// Nodes are matched by name pointer, not by text.
   FrameNode* descend(FrameNode* parent, const char* name);
   FrameNode* root_mutable() { return &root_; }
   void note_unattributed(std::size_t size) noexcept {

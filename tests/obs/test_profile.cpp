@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <latch>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -77,6 +78,48 @@ TEST(Profile, FrameTreeRecordsNestedPathsAndEnters) {
   ASSERT_NE(inner, nullptr);
   EXPECT_EQ(inner->enters.load(), 3u);
   EXPECT_EQ(find_child(prof.root(), "test.inner"), nullptr);  // nested, not root
+}
+
+TEST(Profile, ConcurrentFirstEntriesShareOneNode) {
+  // Four threads, released together, get-or-create the same new frame under
+  // a fresh parent each round (the node the previous round agreed on). Any
+  // thread that loses the publishing CAS must adopt the winner's node.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 500;
+  Profiler prof(fast_opts());
+  obs::FrameNode* parent = prof.root_mutable();
+  int split_rounds = 0, disagreeing_rounds = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::latch start(kThreads);
+    std::vector<obs::FrameNode*> got(kThreads, nullptr);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.count_down();
+        // Spin rather than block: the threads must leave the latch within
+        // nanoseconds of each other to overlap inside descend().
+        while (!start.try_wait()) {}
+        got[t] = prof.descend(parent, "test.race");
+      });
+    }
+    for (auto& th : threads) th.join();
+
+    int children = 0;
+    for (const obs::FrameNode* c = parent->first_child.load(); c; c = c->next_sibling) {
+      ++children;
+    }
+    if (children != 1) ++split_rounds;
+    for (obs::FrameNode* g : got) {
+      if (g != got[0]) {
+        ++disagreeing_rounds;
+        break;
+      }
+    }
+    parent = got[0];
+  }
+  prof.stop();
+  EXPECT_EQ(split_rounds, 0) << "rounds that left more than one child";
+  EXPECT_EQ(disagreeing_rounds, 0) << "rounds whose threads got different nodes";
 }
 
 TEST(Profile, SamplerAttributesCpuToTheInnermostFrame) {
