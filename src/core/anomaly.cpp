@@ -6,8 +6,7 @@
 #include "core/coverage.hpp"
 #include "core/detect_scratch.hpp"
 #include "core/explain.hpp"
-#include "obs/profile/profile.hpp"
-#include "obs/trace.hpp"
+#include "obs/stages.hpp"
 
 namespace intellog::core {
 
@@ -176,7 +175,7 @@ AnomalyReport AnomalyDetector::detect(const logparse::Session& session) const {
 
 AnomalyReport AnomalyDetector::detect(const logparse::Session& session,
                                       DetectScratch& scratch) const {
-  PROF_FRAME("detect.session");
+  OBS_STAGE("detect.session");
   scratch.reset_session();
   scratch.begin_groups(group_plan_.size());
   AnomalyReport report;
@@ -187,8 +186,7 @@ AnomalyReport AnomalyDetector::detect(const logparse::Session& session,
   CoverageLedger* const cov = coverage();
 
   // Per-record Spell matching, on-the-fly extraction and entity grouping.
-  obs::Span extract_span("detect/extract+group", "detect");
-  obs::ProfFrame scan_frame("detect.scan");
+  obs::ObsStage scan_stage("detect.scan");
   // Spell key per record (-1: no match). OnlineDetector::consume caches
   // them in the session; anything else is matched here, once.
   const std::vector<int>* record_keys = &session.spell_keys;
@@ -250,8 +248,7 @@ AnomalyReport AnomalyDetector::detect(const logparse::Session& session,
   }
   std::sort(scratch.touched_groups.begin(), scratch.touched_groups.end());
 
-  extract_span.close();
-  scan_frame.close();
+  scan_stage.close();
 
   // An edge is exercised when both endpoint groups appeared this session.
   if (cov) {
@@ -263,8 +260,7 @@ AnomalyReport AnomalyDetector::detect(const logparse::Session& session,
   }
 
   // HW-graph instance checks: missing groups, then subroutine structure.
-  obs::Span check_span("detect/hwgraph_check", "detect");
-  PROF_FRAME("detect.hwgraph_check");
+  OBS_STAGE("detect.hwgraph_check");
   // Expected groups that never appeared -> erroneous HW-graph instance.
   for (std::size_t i = 0; i < expected_groups_.size(); ++i) {
     const GroupPlan& group = group_plan_[expected_index_[i]];

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/strings.hpp"
-#include "obs/profile/profile.hpp"
 
 namespace intellog::core {
 
@@ -35,7 +34,6 @@ std::vector<std::string> longest_common_phrase(const std::vector<std::string>& a
 }
 
 EntityGroups group_entities(const std::vector<std::string>& entities) {
-  PROF_FRAME("train.group_entities");
   // Deduplicate and sort ascending by word count (Algorithm 1 input).
   std::vector<std::vector<std::string>> items;
   {

@@ -7,10 +7,8 @@
 
 #include "common/thread_pool.hpp"
 #include "core/detect_scratch.hpp"
-#include "obs/flight/flight.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile/profile.hpp"
-#include "obs/trace.hpp"
+#include "obs/stages.hpp"
 
 namespace intellog::core {
 
@@ -134,14 +132,12 @@ std::set<std::string> IntelLog::groups_of_key(int key_id) const {
 
 void IntelLog::train(const std::vector<logparse::Session>& sessions) {
   if (trained_) throw std::logic_error("IntelLog::train called twice");
-  obs::Span train_span("train");
-  PROF_FRAME("train.pipeline");
+  OBS_STAGE("train.pipeline");
 
   // --- Stage 1 (Fig. 2): Spell log-key extraction --------------------------
   std::vector<std::vector<int>> session_keys(sessions.size());
   {
-    obs::Span span("train/spell");
-    PROF_FRAME("train.spell");
+    OBS_STAGE("train.spell");
     obs::ScopedTimerMs timer(stage_hist("spell"));
     for (std::size_t si = 0; si < sessions.size(); ++si) {
       session_keys[si].reserve(sessions[si].records.size());
@@ -157,8 +153,7 @@ void IntelLog::train(const std::vector<logparse::Session>& sessions) {
   // skipped, §5). Extraction is independent per key -> parallel.
   common::ThreadPool pool(config_.num_threads);
   {
-    obs::Span span("train/extract");
-    PROF_FRAME("train.extract");
+    OBS_STAGE("train.extract");
     obs::ScopedTimerMs timer(stage_hist("extract"));
     // Snapshot a const view of the sample map before the parallel region:
     // std::map::operator[] can insert, and concurrent inserts from pool
@@ -186,7 +181,7 @@ void IntelLog::train(const std::vector<logparse::Session>& sessions) {
 
   // --- Stage 3: entity grouping (Algorithm 1) ------------------------------
   {
-    obs::Span span("train/group");
+    OBS_STAGE("train.group_entities");
     obs::ScopedTimerMs timer(stage_hist("group"));
     std::vector<std::string> all_entities;
     for (const auto& [id, ik] : intel_keys_) {
@@ -208,11 +203,10 @@ void IntelLog::train(const std::vector<logparse::Session>& sessions) {
   };
   std::vector<SessionView> views(sessions.size());
   {
-    obs::Span span("train/subroutines");
-    PROF_FRAME("train.subroutines");
+    OBS_STAGE("train.subroutines");
     obs::ScopedTimerMs timer(stage_hist("subroutines"));
     pool.parallel_for(sessions.size(), [&](std::size_t si) {
-      obs::Span view_span("train/session_view");
+      OBS_STAGE("train.session_view");
       SessionView& view = views[si];
       const auto& session = sessions[si];
       for (std::size_t ri = 0; ri < session.records.size(); ++ri) {
@@ -241,8 +235,7 @@ void IntelLog::train(const std::vector<logparse::Session>& sessions) {
   }
 
   {
-    obs::Span span("train/hwgraph");
-    PROF_FRAME("train.hwgraph");
+    OBS_STAGE("train.hwgraph");
     obs::ScopedTimerMs timer(stage_hist("hwgraph"));
     HwGraphBuilder builder;
     DetectScratch scratch;
@@ -301,7 +294,6 @@ AnomalyReport IntelLog::detect(const logparse::Session& session) const {
 
 AnomalyReport IntelLog::detect(const logparse::Session& session, DetectScratch& scratch) const {
   if (!trained_) throw std::logic_error("IntelLog::detect before train");
-  obs::Span span("detect");
   obs::MetricsRegistry* reg = obs::registry();
   obs::ScopedTimerMs timer(reg ? &reg->histogram("intellog_detect_session_ms") : nullptr);
   AnomalyReport report = detector_->detect(session, scratch);
@@ -318,7 +310,7 @@ AnomalyReport IntelLog::detect(const logparse::Session& session, DetectScratch& 
 std::vector<AnomalyReport> IntelLog::detect_batch(std::span<const logparse::Session> sessions,
                                                   std::size_t jobs) const {
   if (!trained_) throw std::logic_error("IntelLog::detect_batch before train");
-  obs::Span span("detect_batch");
+  OBS_STAGE("detect.batch");
   std::vector<AnomalyReport> reports(sessions.size());
   if (sessions.empty()) return reports;
 
@@ -333,14 +325,13 @@ std::vector<AnomalyReport> IntelLog::detect_batch(std::span<const logparse::Sess
   // index, so the output order (and content — detect() is pure) is
   // identical no matter how many workers run or how they interleave.
   const auto run_shard = [&](std::size_t shard) {
-    PROF_FRAME("detect.batch_shard");
+    OBS_STAGE("detect.batch_shard");
     // One scratch per shard: the arena's pages are acquired on the first
     // session and rewound (not freed) between sessions, so a shard of N
     // sessions does page setup once, not N times.
     DetectScratch scratch;
     const std::size_t begin = sessions.size() * shard / shards;
     const std::size_t end = sessions.size() * (shard + 1) / shards;
-    FLIGHT_EVENT(kDetectShardBegin, shard, end - begin);
     obs::ScopedTimerMs shard_timer(
         reg ? &reg->histogram("intellog_detect_batch_shard_ms",
                               {{"shard", std::to_string(shard)}})
@@ -351,7 +342,6 @@ std::vector<AnomalyReport> IntelLog::detect_batch(std::span<const logparse::Sess
           .add(end - begin);
     }
     for (std::size_t i = begin; i < end; ++i) reports[i] = detect(sessions[i], scratch);
-    FLIGHT_EVENT(kDetectShardEnd, shard, end - begin);
   };
   if (shards == 1) {
     run_shard(0);

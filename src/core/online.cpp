@@ -12,7 +12,7 @@
 #include "common/strings.hpp"
 #include "obs/flight/flight.hpp"
 #include "obs/profile/profile.hpp"
-#include "obs/trace.hpp"
+#include "obs/stages.hpp"
 
 namespace intellog::core {
 
@@ -171,8 +171,7 @@ std::optional<OnlineDetector::Event> OnlineDetector::consume(const logparse::Log
 std::optional<AnomalyReport> OnlineDetector::close_session(const std::string& container_id) {
   const auto it = open_.find(container_id);
   if (it == open_.end()) return std::nullopt;
-  obs::Span span("online/close_session", "online");
-  PROF_FRAME("online.drain");
+  OBS_STAGE("online.drain");
   logparse::Session session = detach(it);
   AnomalyReport report = model_.detect(session);
   if (tel_.closed_explicit) tel_.closed_explicit->add(1);
@@ -182,8 +181,7 @@ std::optional<AnomalyReport> OnlineDetector::close_session(const std::string& co
 
 std::vector<AnomalyReport> OnlineDetector::watchdog(std::uint64_t now_ms) {
   if (limits_.max_session_age_ms == 0) return {};
-  obs::Span span("online/watchdog", "online");
-  PROF_FRAME("online.drain");
+  OBS_STAGE("online.drain");
   std::vector<logparse::Session> stuck;
   for (auto it = open_.begin(); it != open_.end();) {
     if (it->second.first_seen_ms + limits_.max_session_age_ms <= now_ms) {
@@ -203,8 +201,7 @@ std::vector<AnomalyReport> OnlineDetector::watchdog(std::uint64_t now_ms) {
 
 std::vector<AnomalyReport> OnlineDetector::close_idle(std::uint64_t now_ms,
                                                       std::uint64_t idle_ms) {
-  obs::Span span("online/close_idle", "online");
-  PROF_FRAME("online.drain");
+  OBS_STAGE("online.drain");
   // Drain expired sessions first, then run the structural checks as one
   // sharded batch: reports stay in container-id (map) order.
   std::vector<logparse::Session> expired;
@@ -226,8 +223,7 @@ std::vector<AnomalyReport> OnlineDetector::close_idle(std::uint64_t now_ms,
 }
 
 std::vector<AnomalyReport> OnlineDetector::close_all() {
-  obs::Span span("online/close_all", "online");
-  PROF_FRAME("online.drain");
+  OBS_STAGE("online.drain");
   std::vector<logparse::Session> sessions;
   sessions.reserve(open_.size());
   for (auto& [id, state] : open_) {
@@ -324,7 +320,7 @@ common::Json OnlineDetector::checkpoint() const {
 }
 
 void OnlineDetector::checkpoint_file(const std::string& path) const {
-  obs::Span span("online/checkpoint", "online");
+  OBS_STAGE("online.checkpoint");
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp);

@@ -5,7 +5,6 @@
 #include "common/strings.hpp"
 #include "obs/flight/flight.hpp"
 #include "obs/profile/profile.hpp"
-#include "obs/trace.hpp"
 
 namespace intellog::logparse {
 
@@ -182,7 +181,6 @@ void Spell::refine_key(LogKey& key, const std::vector<std::string>& tokens) {
 }
 
 int Spell::consume(std::string_view message) {
-  obs::Span span("spell/consume", "logparse");
   PROF_FRAME("spell.consume");
   Scratch& s = scratch();
   common::split_ws_views(message, s.tokens);
@@ -242,7 +240,6 @@ int Spell::consume(std::string_view message) {
 }
 
 int Spell::match(std::string_view message) const {
-  obs::Span span("spell/match", "logparse");
   PROF_FRAME("spell.match");
   Scratch& s = scratch();
   common::split_ws_views(message, s.tokens);

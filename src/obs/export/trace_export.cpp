@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -321,35 +322,34 @@ common::Json flight_chrome_trace(const flight::FlightDump& dump) {
     }
   }
 
-  const auto duration_event = [](const char* ph, int tid, const std::string& name,
-                                 const char* category, std::uint64_t ts_us) {
-    common::Json d = common::Json::object();
-    d["ph"] = ph;
-    d["pid"] = kPid;
-    d["tid"] = tid;
-    d["name"] = name;
-    d["cat"] = category;
-    d["ts"] = static_cast<std::int64_t>(ts_us);
-    return d;
-  };
+  // Open stages per ring slot, innermost last. Stages nest LIFO per
+  // thread, so an end with no open begin lost its begin to ring overwrite.
+  std::map<std::uint32_t, std::vector<std::uint64_t>> open_stages;
 
   for (const flight::DecodedEvent& e : dump.events) {
     const flight::FlightEventInfo& info = flight::event_info(e.id);
     const int tid = static_cast<int>(e.slot) + 1;
     const std::uint64_t ts = us(e.steady_ns);
 
-    if (e.id == flight::FlightEventId::kDetectShardBegin ||
-        e.id == flight::FlightEventId::kDetectShardEnd) {
-      // Paired duration events: Perfetto matches B/E by (pid, tid, name),
-      // and shard begin/end always land on the same worker thread.
-      const char* ph = e.id == flight::FlightEventId::kDetectShardBegin ? "B" : "E";
-      common::Json d =
-          duration_event(ph, tid, "detect shard " + std::to_string(e.a), info.subsystem, ts);
-      if (e.id == flight::FlightEventId::kDetectShardBegin) {
-        common::Json args = common::Json::object();
-        args[info.arg_b] = static_cast<std::size_t>(e.b);
-        d["args"] = std::move(args);
+    const bool begin = e.id == flight::FlightEventId::kStageBegin;
+    if (begin || e.id == flight::FlightEventId::kStageEnd) {
+      // Paired duration events on the ring's thread track: Perfetto
+      // matches B/E by (pid, tid, name).
+      std::vector<std::uint64_t>& open = open_stages[e.slot];
+      if (begin) {
+        open.push_back(e.a);
+      } else if (!open.empty() && open.back() == e.a) {
+        open.pop_back();
+      } else {
+        continue;
       }
+      common::Json d = common::Json::object();
+      d["ph"] = begin ? "B" : "E";
+      d["pid"] = kPid;
+      d["tid"] = tid;
+      d["name"] = e.str;
+      d["cat"] = info.subsystem;
+      d["ts"] = static_cast<std::int64_t>(ts);
       events.push_back(std::move(d));
       continue;
     }

@@ -43,9 +43,10 @@ common::Json hwgraph_otlp_json(const core::IntelLog& model,
 
 /// Chrome trace-event document for a decoded flight-recorder dump
 /// (`intellog flight decode --trace`). One process, one thread track per
-/// ring slot (named by OS tid); detect.shard_begin/end become paired B/E
-/// spans, every other event is a thread-scoped instant carrying its
-/// annotated args. Timestamps are the records' steady-clock values rebased
+/// ring slot (named by OS tid); stage begin/end records (OBS_STAGE) become
+/// paired B/E spans named by the stage, dropping an end whose begin the
+/// ring already overwrote; every other event is a thread-scoped instant
+/// carrying its annotated args. Timestamps are the records' steady-clock values rebased
 /// so the oldest surviving event is t=0.
 common::Json flight_chrome_trace(const flight::FlightDump& dump);
 

@@ -4,7 +4,8 @@
 // single source of truth the decoder, the /flightz route, and the CI
 // validator use to annotate raw records. Adding an event means adding an
 // enum entry AND a table row — decode drops records whose id falls outside
-// the table, which is also how torn ring slots are filtered.
+// the table. Stage begin/end records come from OBS_STAGE (obs/stages.hpp)
+// and name their stage by its row in that table.
 #pragma once
 
 #include <cstddef>
@@ -17,8 +18,8 @@ enum class FlightEventId : std::uint16_t {
   kIngestAdmit,           ///< a=records b=lines_total
   kIngestQuarantine,      ///< a=quarantined b=lines_total
   kSpellRefine,           ///< a=key_id b=key_count
-  kDetectShardBegin,      ///< a=shard b=sessions
-  kDetectShardEnd,        ///< a=shard b=sessions
+  kStageBegin,            ///< a=stage (obs/stages.hpp row)
+  kStageEnd,              ///< a=stage (obs/stages.hpp row)
   kOnlineEvict,           ///< a=session_hash b=open_sessions
   kOnlineCheckpoint,      ///< a=open_sessions b=seq
   kTenantTick,            ///< str=tenant a=tick b=epoch
@@ -38,7 +39,7 @@ enum class FlightEventId : std::uint16_t {
 
 struct FlightEventInfo {
   const char* name;       ///< stable snake_case name, e.g. "tenant.tick"
-  const char* subsystem;  ///< ingest / spell / detect / online / tenant / serve / http / pool / signal / flight
+  const char* subsystem;  ///< ingest / spell / stage / online / tenant / serve / http / pool / signal / flight
   const char* arg_a;      ///< annotation for the first u64 argument
   const char* arg_b;      ///< annotation for the second u64 argument
 };
@@ -49,8 +50,8 @@ inline const FlightEventInfo& event_info(FlightEventId id) {
       {"ingest.admit", "ingest", "records", "lines_total"},
       {"ingest.quarantine", "ingest", "quarantined", "lines_total"},
       {"spell.refine", "spell", "key_id", "key_count"},
-      {"detect.shard_begin", "detect", "shard", "sessions"},
-      {"detect.shard_end", "detect", "shard", "sessions"},
+      {"stage.begin", "stage", "stage_id", "unused"},
+      {"stage.end", "stage", "stage_id", "unused"},
       {"online.evict", "online", "session_hash", "open_sessions"},
       {"online.checkpoint", "online", "open_sessions", "seq"},
       {"tenant.tick", "tenant", "tick", "epoch"},

@@ -15,6 +15,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/stages.hpp"
+
 namespace intellog::obs::flight {
 
 namespace detail {
@@ -59,7 +61,8 @@ thread_local ThreadRingCache t_ring_cache;
 // --- on-disk format ----------------------------------------------------------
 
 constexpr char kMagic[8] = {'I', 'L', 'F', 'R', '1', 0, 0, 0};
-constexpr std::uint32_t kVersion = 1;
+// 2: event ids 4/5 are stage.begin/end (were detect.shard_begin/end).
+constexpr std::uint32_t kVersion = 2;
 
 struct DumpHeader {
   char magic[8];
@@ -257,6 +260,7 @@ void flight_enable() {
   st->anchor_steady_ns = steady_now_ns();
   st->generation = ++generation;
   detail::g_state.store(st, std::memory_order_release);
+  stage_detail::g_sinks.fetch_or(stage_detail::kFlightSink, std::memory_order_relaxed);
   flight_emit(FlightEventId::kRecorderEnable, kRingCapacity, kMaxThreads);
 }
 
@@ -266,6 +270,7 @@ void flight_disable() {
   // process-lifetime retired list keeps it reachable, so leak checkers see
   // the retention as deliberate rather than as a lost allocation.
   FlightState* st = detail::g_state.exchange(nullptr, std::memory_order_acq_rel);
+  stage_detail::g_sinks.fetch_and(~stage_detail::kFlightSink, std::memory_order_relaxed);
   if (st != nullptr) {
     static std::mutex mu;
     static std::vector<FlightState*>* retired = new std::vector<FlightState*>();
@@ -338,32 +343,35 @@ void sort_events(std::vector<DecodedEvent>& events) {
   });
 }
 
-// `records_bytes` points at the raw dumped array and is NOT necessarily
-// 8-byte aligned (it follows a variable-length string arena in the file),
-// so each record is memcpy'd out instead of cast in place.
-void decode_ring_records(const char* records_bytes, std::uint64_t head,
-                         std::uint64_t nrecords, std::uint32_t slot, std::uint32_t os_tid,
-                         const FlightDump& ctx, std::vector<DecodedEvent>& out) {
-  const std::uint64_t first = head - nrecords;
-  for (std::uint64_t seq = first; seq < head; ++seq) {
-    FlightRecord r;
-    std::memcpy(&r, records_bytes + (seq & (kRingCapacity - 1)) * sizeof(FlightRecord),
-                sizeof(r));
-    // Torn or never-written slots: a producer may have been mid-push when
-    // the rings were frozen. Validate instead of synchronizing.
-    if (r.steady_ns == 0 || !valid_event(r.event)) continue;
-    DecodedEvent ev;
-    ev.seq = seq;
-    ev.steady_ns = r.steady_ns;
-    ev.wall_ns = wall_of(r.steady_ns, ctx.anchor_wall_ns, ctx.anchor_steady_ns);
-    ev.slot = slot;
-    ev.os_tid = os_tid;
-    ev.id = static_cast<FlightEventId>(r.event);
-    ev.a = r.a;
-    ev.b = r.b;
-    if (r.str != 0 && r.str <= ctx.strings.size()) ev.str = ctx.strings[r.str - 1];
-    out.push_back(std::move(ev));
+bool is_stage(FlightEventId id) {
+  return id == FlightEventId::kStageBegin || id == FlightEventId::kStageEnd;
+}
+
+/// Validates and annotates one record. Stage records resolve their stage
+/// name into `str`.
+void decode_record(const FlightRecord& r, std::uint64_t seq, std::uint32_t slot,
+                   std::uint32_t os_tid, const FlightDump& ctx,
+                   std::vector<DecodedEvent>& out) {
+  // Torn or never-written slots: a producer may have been mid-push when
+  // the rings were frozen. Validate instead of synchronizing.
+  if (r.steady_ns == 0 || !valid_event(r.event)) return;
+  const auto id = static_cast<FlightEventId>(r.event);
+  if (is_stage(id) && r.a >= kStageCount) return;
+  DecodedEvent ev;
+  ev.seq = seq;
+  ev.steady_ns = r.steady_ns;
+  ev.wall_ns = wall_of(r.steady_ns, ctx.anchor_wall_ns, ctx.anchor_steady_ns);
+  ev.slot = slot;
+  ev.os_tid = os_tid;
+  ev.id = id;
+  ev.a = r.a;
+  ev.b = r.b;
+  if (is_stage(id)) {
+    ev.str = kStageNames[r.a];
+  } else if (r.str != 0 && r.str <= ctx.strings.size()) {
+    ev.str = ctx.strings[r.str - 1];
   }
+  out.push_back(std::move(ev));
 }
 
 }  // namespace
@@ -428,8 +436,15 @@ FlightDump decode_flight_file(const std::string& path) {
     off += sizeof(rh);
     if (rh.nrecords > kRingCapacity) throw std::runtime_error("flight: corrupt ring header");
     need(off, rh.nrecords * sizeof(FlightRecord), "ring records");
-    decode_ring_records(bytes.data() + off, rh.head, rh.nrecords, rh.slot, rh.os_tid, dump,
-                        dump.events);
+    // The raw ring array, indexed by seq & mask. It follows the string
+    // arena, so it is not necessarily 8-byte aligned: memcpy each record
+    // out instead of casting in place.
+    for (std::uint64_t seq = rh.head - rh.nrecords; seq < rh.head; ++seq) {
+      FlightRecord r;
+      std::memcpy(&r, bytes.data() + off + (seq & (kRingCapacity - 1)) * sizeof(FlightRecord),
+                  sizeof(r));
+      decode_record(r, seq, rh.slot, rh.os_tid, dump, dump.events);
+    }
     off += rh.nrecords * sizeof(FlightRecord);
   }
   sort_events(dump.events);
@@ -517,13 +532,9 @@ common::Json flight_dump_json(const FlightDump& dump) {
   return out;
 }
 
-common::Json flight_snapshot_json(std::size_t max_events) {
+std::optional<FlightDump> flight_snapshot() {
   FlightState* st = flight_state();
-  if (st == nullptr) {
-    common::Json out = common::Json::object();
-    out["enabled"] = false;
-    return out;
-  }
+  if (st == nullptr) return std::nullopt;
 
   FlightDump live;
   live.version = kVersion;
@@ -542,22 +553,28 @@ common::Json flight_snapshot_json(std::size_t max_events) {
   for (std::uint32_t slot = 0; slot < nthreads; ++slot) {
     FlightRing* ring = st->rings[slot].load(std::memory_order_acquire);
     if (ring == nullptr) continue;
-    const std::uint64_t n = ring->snapshot(scratch.data());
-    const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-    // snapshot() copied the resident window [head-n, head) oldest-first
-    // into scratch[0..n); re-index so decode sees seq & mask addressing.
-    std::vector<FlightRecord> raw(kRingCapacity);
-    for (std::uint64_t i = 0; i < n; ++i) raw[(head - n + i) & (kRingCapacity - 1)] = scratch[i];
-    decode_ring_records(reinterpret_cast<const char*>(raw.data()), head, n, slot, ring->os_tid,
-                        live, live.events);
+    std::uint64_t first = 0;
+    const std::uint64_t n = ring->snapshot(scratch.data(), &first);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      decode_record(scratch[i], first + i, slot, ring->os_tid, live, live.events);
+    }
   }
   sort_events(live.events);
-  if (live.events.size() > max_events) {
-    live.events.erase(live.events.begin(),
-                      live.events.end() - static_cast<std::ptrdiff_t>(max_events));
-  }
+  return live;
+}
 
-  common::Json out = flight_dump_json(live);
+common::Json flight_snapshot_json(std::size_t max_events) {
+  std::optional<FlightDump> live = flight_snapshot();
+  if (!live) {
+    common::Json out = common::Json::object();
+    out["enabled"] = false;
+    return out;
+  }
+  if (live->events.size() > max_events) {
+    live->events.erase(live->events.begin(),
+                       live->events.end() - static_cast<std::ptrdiff_t>(max_events));
+  }
+  common::Json out = flight_dump_json(*live);
   out["enabled"] = true;
   return out;
 }

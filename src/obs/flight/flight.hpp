@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -197,9 +198,14 @@ std::string render_flight_text(const FlightDump& dump);
 /// JSON document: header + merged event array (the CI validator input).
 common::Json flight_dump_json(const FlightDump& dump);
 
-/// Live snapshot of the enabled recorder as the same JSON shape, capped at
-/// `max_events` most recent events across all threads. `{"enabled":false}`
-/// when the recorder is off. Backs the /flightz admin route.
+/// Live snapshot of the enabled recorder's rings, decoded like a dump
+/// (reason kManual); nullopt when the recorder is off. Backs /flightz and
+/// `intellog train|detect --trace`.
+std::optional<FlightDump> flight_snapshot();
+
+/// flight_snapshot() as flight_dump_json, capped at the `max_events` most
+/// recent events across all threads. `{"enabled":false}` when the recorder
+/// is off. Backs the /flightz admin route.
 common::Json flight_snapshot_json(std::size_t max_events = 512);
 
 }  // namespace intellog::obs::flight

@@ -12,6 +12,7 @@
 
 #include "obs/metrics.hpp"  // monotonic_ns
 #include "obs/profile/profiled_mutex.hpp"
+#include "obs/stages.hpp"
 
 // Sanitizer allocator interface (matches <sanitizer/allocator_interface.h>).
 // Declared weak so the reference resolves to nullptr in plain builds and to
@@ -216,7 +217,13 @@ Profiler::Profiler(ProfilerOptions opts)
   if (opts_.track_allocs) {
     prof_detail::g_alloc_enabled.store(true, std::memory_order_relaxed);
   }
+  stage_detail::g_sinks.fetch_or(stage_detail::kProfilerSink, std::memory_order_relaxed);
   sampler_ = std::thread([this] { sampler_loop(); });
+  // Return only once the sampler has completed its first tick: a sampler
+  // thread still waiting for its first timed wake-up (slow under host load)
+  // would otherwise miss the first frames entirely.
+  std::unique_lock lock(sampler_mu_);
+  sampler_cv_.wait(lock, [this] { return sampler_ticked_; });
 }
 
 Profiler::~Profiler() {
@@ -236,6 +243,7 @@ void Profiler::stop() {
   // anything else; new PROF_FRAMEs become no-ops from here on.
   prof_detail::g_alloc_enabled.store(false, std::memory_order_relaxed);
   g_profiler.store(nullptr, std::memory_order_release);
+  stage_detail::g_sinks.fetch_and(~stage_detail::kProfilerSink, std::memory_order_relaxed);
   {
     std::lock_guard lock(sampler_mu_);
     stop_requested_ = true;
@@ -271,6 +279,10 @@ void Profiler::sampler_loop() {
       if (FrameNode* n = s->current.load(std::memory_order_acquire)) {
         n->samples.fetch_add(1, std::memory_order_relaxed);
       }
+    }
+    if (!sampler_ticked_) {
+      sampler_ticked_ = true;
+      sampler_cv_.notify_all();
     }
   }
 }
@@ -491,18 +503,20 @@ ProfFrame::ProfFrame(const char* name) {
   Profiler* p = profiler();
   if (p == nullptr) return;
   using namespace prof_detail;
-  flush_pending();  // pending alloc counts belong to the frame we leave
+  // Profiler bookkeeping first — the thread's first registration and a new
+  // node allocate — so those bytes are not charged to the frame entered.
+  ts_ = thread_state();
   FrameNode* parent = (t_gen == p->generation() && t_frame != nullptr)
                           ? t_frame
                           : p->root_mutable();
   FrameNode* node = p->descend(parent, name);
+  flush_pending();  // pending alloc counts belong to the frame we leave
   node->enters.fetch_add(1, std::memory_order_relaxed);
   prev_frame_ = t_frame;
   prev_gen_ = t_gen;
   gen_ = p->generation();
   t_frame = node;
   t_gen = gen_;
-  ts_ = thread_state();
   ts_->current.store(node, std::memory_order_release);
 }
 

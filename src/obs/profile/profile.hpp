@@ -1,9 +1,9 @@
 // Performance Observatory: in-process sampling profiler with allocation
 // attribution.
 //
-// The profiler follows the scoped-tracing idiom from obs/trace: hot paths
-// carry lightweight RAII annotations (`PROF_FRAME("spell.match")`) that are
-// one relaxed atomic load and a branch when no Profiler is installed. While
+// Hot paths carry lightweight RAII annotations (`PROF_FRAME("spell.match")`,
+// or OBS_STAGE from obs/stages.hpp for a named pipeline stage) that are one
+// relaxed atomic load and a branch when no Profiler is installed. While
 // a Profiler is live, each annotated scope descends into a process-global
 // frame tree (lock-free: children are published with a CAS onto an
 // intrusive sibling list and never removed until the session ends) and a
@@ -126,6 +126,8 @@ struct HotFrame {
 /// installs itself as the process-global profiler for its lifetime.
 class Profiler {
  public:
+  /// Returns once the sampler thread has taken its first tick, i.e. after
+  /// about one sample period.
   explicit Profiler(ProfilerOptions opts = ProfilerOptions::from_env());
   ~Profiler();
   Profiler(const Profiler&) = delete;
@@ -197,6 +199,7 @@ class Profiler {
   std::mutex sampler_mu_;
   std::condition_variable sampler_cv_;
   bool stop_requested_ = false;
+  bool sampler_ticked_ = false;  ///< set once sampler_loop has ticked once
   std::thread sampler_;
 };
 
@@ -212,9 +215,9 @@ class ProfFrame {
   ProfFrame(const ProfFrame&) = delete;
   ProfFrame& operator=(const ProfFrame&) = delete;
 
-  /// Exits the frame now (instead of at scope end). Idempotent. Like
-  /// Span::close(), for stages that end mid-function; frames must still
-  /// unwind LIFO per thread.
+  /// Exits the frame now (instead of at scope end). Idempotent. For
+  /// scopes that end mid-function; frames must still unwind LIFO per
+  /// thread.
   void close();
 
  private:

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/trace.hpp"
+#include "obs/stages.hpp"
 
 namespace intellog::simsys {
 
@@ -53,7 +53,7 @@ void SessionBuilder::truncate_after(std::uint64_t cutoff_ms) {
 }
 
 logparse::Session SessionBuilder::finish() {
-  obs::Span span("simsys/session_finish", "simsys");
+  OBS_STAGE("simsys.session_finish");
   std::stable_sort(records_.begin(), records_.end(),
                    [](const logparse::LogRecord& a, const logparse::LogRecord& b) {
                      return a.timestamp_ms < b.timestamp_ms;

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "obs/trace.hpp"
+#include "obs/stages.hpp"
 #include "simsys/mapreduce_system.hpp"
 #include "simsys/spark_system.hpp"
 #include "simsys/tensorflow_system.hpp"
@@ -21,7 +21,7 @@ std::string to_string(ProblemKind kind) {
 }
 
 JobResult run_job(const JobSpec& spec, const ClusterSpec& cluster, const FaultPlan& fault) {
-  obs::Span span("simsys/run_job", "simsys");
+  OBS_STAGE("simsys.run_job");
   if (spec.system == "spark") return SparkJobSim{}.run(spec, cluster, fault);
   if (spec.system == "mapreduce") return MapReduceJobSim{}.run(spec, cluster, fault);
   if (spec.system == "tez") return TezJobSim{}.run(spec, cluster, fault);

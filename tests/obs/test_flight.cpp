@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "obs/export/trace_export.hpp"
+#include "obs/stages.hpp"
 
 namespace {
 
@@ -47,9 +48,10 @@ TEST_F(FlightTest, EnableEmitSnapshotRoundTrip) {
   ASSERT_NE(sid, 0u);
   EXPECT_EQ(flight_intern("acme"), sid) << "interning must dedup";
 
-  FLIGHT_EVENT(kDetectShardBegin, 3, 17);
-  FLIGHT_EVENT_STR(kTenantTick, 7, 1, sid);
-  FLIGHT_EVENT(kDetectShardEnd, 3, 17);
+  {
+    OBS_STAGE("detect.batch_shard");
+    FLIGHT_EVENT_STR(kTenantTick, 7, 1, sid);
+  }
 
   const auto snap = flight_snapshot_json();
   ASSERT_TRUE(snap["enabled"].as_bool());
@@ -151,7 +153,7 @@ TEST_F(FlightTest, MultiThreadEventsKeepPerThreadOrder) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([t] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        FLIGHT_EVENT(kDetectShardBegin, static_cast<std::uint64_t>(t), i);
+        FLIGHT_EVENT(kStageBegin, static_cast<std::uint64_t>(t), i);
       }
     });
   }
@@ -167,7 +169,7 @@ TEST_F(FlightTest, MultiThreadEventsKeepPerThreadOrder) {
   std::map<std::uint32_t, std::uint64_t> last_b;
   std::uint64_t shard_events = 0;
   for (const DecodedEvent& e : dump.events) {
-    if (e.id != FlightEventId::kDetectShardBegin) continue;
+    if (e.id != FlightEventId::kStageBegin) continue;
     ++shard_events;
     if (last_seq.count(e.slot)) {
       EXPECT_GT(e.seq, last_seq[e.slot]);
@@ -230,8 +232,9 @@ TEST_F(FlightTest, ChromeTraceExportPairsShardSpans) {
   fs::remove(path + ".1");
   flight_enable();
   ASSERT_TRUE(flight_set_dump_path(path));
-  FLIGHT_EVENT(kDetectShardBegin, 0, 9);
-  FLIGHT_EVENT(kDetectShardEnd, 0, 9);
+  {
+    OBS_STAGE("detect.batch_shard");
+  }
   FLIGHT_EVENT(kHttpRequest, 200, 0);
   ASSERT_TRUE(flight_dump_now(DumpReason::kManual));
   const auto doc = intellog::obs::flight_chrome_trace(decode_flight_file(path));

@@ -4,8 +4,9 @@
 #include <map>
 
 #include "core/intellog.hpp"
+#include "obs/export/trace_export.hpp"
+#include "obs/flight/flight.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "simsys/workload.hpp"
 
 using namespace intellog;
@@ -25,20 +26,19 @@ std::vector<logparse::Session> corpus(int jobs, std::uint64_t seed) {
 
 struct ObsGuard {
   obs::MetricsRegistry reg;
-  obs::TraceCollector trace;
   ObsGuard() {
     obs::set_registry(&reg);
-    obs::set_tracer(&trace);
+    obs::flight::flight_enable();
   }
   ~ObsGuard() {
     obs::set_registry(nullptr);
-    obs::set_tracer(nullptr);
+    obs::flight::flight_disable();
   }
 };
 
 TEST(Instrumentation, TrainPopulatesStageMetricsAndSpans) {
-  ObsGuard guard;
   const auto sessions = corpus(3, 11);
+  ObsGuard guard;
   std::size_t records = 0;
   for (const auto& s : sessions) records += s.records.size();
 
@@ -73,18 +73,27 @@ TEST(Instrumentation, TrainPopulatesStageMetricsAndSpans) {
   EXPECT_EQ(gauge("intellog_model_critical_groups"),
             static_cast<std::int64_t>(il.hw_graph().critical_group_count()));
 
-  // The trace saw every stage plus per-record Spell spans.
-  std::map<std::string, int> names;
-  const common::Json trace_json = guard.trace.to_chrome_json();
-  for (const auto& e : trace_json["traceEvents"].as_array()) {
-    names[e["name"].as_string()]++;
+  // The flight rings saw one B/E pair per training stage and one
+  // session_view pair per session; per-record Spell scopes are not stages.
+  const auto snapshot = obs::flight::flight_snapshot();
+  ASSERT_TRUE(snapshot.has_value());
+  std::map<std::string, int> begins, ends;
+  const common::Json trace = obs::flight_chrome_trace(*snapshot);
+  for (const auto& e : trace["traceEvents"].as_array()) {
+    const std::string ph = e["ph"].as_string();
+    if (ph == "B") begins[e["name"].as_string()]++;
+    if (ph == "E") ends[e["name"].as_string()]++;
   }
-  for (const char* span : {"train", "train/spell", "train/extract", "train/group",
-                           "train/subroutines", "train/hwgraph"}) {
-    EXPECT_EQ(names[span], 1) << span;
+  for (const char* stage : {"train.pipeline", "train.spell", "train.extract",
+                            "train.group_entities", "train.subroutines", "train.hwgraph"}) {
+    EXPECT_EQ(begins[stage], 1) << stage;
+    EXPECT_EQ(ends[stage], 1) << stage;
   }
-  EXPECT_EQ(names["spell/consume"], static_cast<int>(records));
-  EXPECT_EQ(names["train/session_view"], static_cast<int>(sessions.size()));
+  EXPECT_EQ(begins["train.session_view"], static_cast<int>(sessions.size()));
+  EXPECT_EQ(ends["train.session_view"], static_cast<int>(sessions.size()));
+  for (const auto& [name, count] : begins) {
+    EXPECT_NE(name.rfind("spell.", 0), 0u) << name << " x" << count;
+  }
 
   // Detection path: counters advance per session.
   const auto report = il.detect(sessions.front());
@@ -97,10 +106,10 @@ TEST(Instrumentation, TrainPopulatesStageMetricsAndSpans) {
 
 TEST(Instrumentation, PipelineIsSilentWithoutRegistry) {
   ASSERT_EQ(obs::registry(), nullptr);
-  ASSERT_EQ(obs::tracer(), nullptr);
+  ASSERT_FALSE(obs::flight::flight_enabled());
   const auto sessions = corpus(2, 13);
   core::IntelLog il;
-  il.train(sessions);  // must not touch any registry or collector
+  il.train(sessions);  // must not touch any registry or ring
   const auto report = il.detect(sessions.front());
   EXPECT_EQ(report.session_length, sessions.front().records.size());
 }

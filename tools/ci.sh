@@ -18,6 +18,7 @@
 #   tools/ci.sh observatory # end-to-end trace-export/explain/status checks
 #   tools/ci.sh quality    # seeded score round-trip, coverage + drift gates
 #   tools/ci.sh profile    # sampling-profiler smoke (Release + ASan/UBSan)
+#   tools/ci.sh tsan       # ThreadSanitizer build of the lock-free suites
 #   tools/ci.sh perfbench  # end-to-end benchmark: compare.py rules + a smoke
 #                          # run of every workload against the serial reference
 set -euo pipefail
@@ -135,6 +136,9 @@ bench_smoke() {
 # operator-new replacement is not linked (the runtime owns operator new)
 # and attribution must flow through the sanitizer's malloc hooks instead —
 # this stage pins that both paths produce valid, balanced artifacts.
+# The detect run and the wrapper's train run also write `--trace`, whose
+# stage spans must pair up per track and name only profiler frames of the
+# same run (validate_observatory.py stages).
 profile_smoke() {
   local name="$1"
   local dir="$repo/build-ci-$name"
@@ -160,18 +164,27 @@ profile_smoke() {
   # (thousands of sampler ticks) while staying far from sampler saturation.
   rc=0
   INTELLOG_PROF_PERIOD_US=50 "$dir/tools/intellog" detect "$tmp/logs" \
-      -m "$tmp/model.json" --jobs 2 --profile "$tmp/prof" >/dev/null 2>&1 || rc=$?
+      -m "$tmp/model.json" --jobs 2 --profile "$tmp/prof" \
+      --trace "$tmp/detect.trace.json" >/dev/null 2>&1 || rc=$?
   [[ $rc -eq 0 || $rc -eq 3 ]] || {
     echo "profile smoke: FAIL — detect --profile exited $rc" >&2; exit 1; }
   python3 "$repo/tools/validate_observatory.py" profile "$tmp/prof" || {
     echo "profile smoke: FAIL — artifact validation ($name)" >&2; exit 1; }
+  python3 "$repo/tools/validate_observatory.py" stages "$tmp/detect.trace.json" \
+      "$tmp/prof.pprof.json" detect.session detect.scan detect.hwgraph_check || {
+    echo "profile smoke: FAIL — detect stage trace ($name)" >&2; exit 1; }
 
   # The wrapper spelling must produce the same artifact set.
   INTELLOG_PROF_PERIOD_US=50 "$dir/tools/intellog" profile -o "$tmp/wrap" \
-      train "$tmp/logs" -o "$tmp/model2.json" >/dev/null 2>&1 || {
+      train "$tmp/logs" -o "$tmp/model2.json" --trace "$tmp/train.trace.json" \
+      >/dev/null 2>&1 || {
     echo "profile smoke: FAIL — intellog profile wrapper" >&2; exit 1; }
   [[ -s "$tmp/wrap" && -s "$tmp/wrap.alloc" && -s "$tmp/wrap.pprof.json" ]] || {
     echo "profile smoke: FAIL — wrapper artifacts missing" >&2; exit 1; }
+  python3 "$repo/tools/validate_observatory.py" stages "$tmp/train.trace.json" \
+      "$tmp/wrap.pprof.json" train.pipeline train.spell train.extract \
+      train.group_entities train.subroutines train.session_view train.hwgraph || {
+    echo "profile smoke: FAIL — train stage trace ($name)" >&2; exit 1; }
   rm -rf "$tmp"
   echo "profile smoke: OK ($name)"
 }
@@ -585,6 +598,21 @@ PY
   echo "http smoke: OK ($name)"
 }
 
+# TSan smoke: a ThreadSanitizer build of the suites that own lock-free or
+# cross-thread state — event rings and thread pool, profiler, flight
+# recorder and stages, the serve daemon. Any race report fails the stage.
+tsan_smoke() {
+  local dir="$repo/build-ci-tsan"
+  echo "==> [tsan] build + lock-free/cross-thread suites"
+  cmake -B "$dir" -S "$repo" "${generator[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_FLAGS="-fsanitize=thread" -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
+  cmake --build "$dir" -j "$jobs" --target test_common test_obs test_serve
+  local -x TSAN_OPTIONS="halt_on_error=1"
+  "$dir/tests/test_common" --gtest_filter='EventRing.*:ThreadPool.*'
+  "$dir/tests/test_obs" --gtest_filter='Profile.*:Flight*:Stage.*'
+  "$dir/tests/test_serve"
+}
+
 # Perfbench smoke: the end-to-end benchmark's own tests. They check the
 # compare.py verdict rules, then run all three workloads (spool_drain,
 # spool_trickle, batch_detect) on a small corpus, traced and untraced, and
@@ -635,12 +663,15 @@ case "$mode" in
   asan|profile|all)
     profile_smoke asan
     ;;&
+  tsan|all)
+    tsan_smoke
+    ;;&
   perfbench|all)
     perfbench_smoke
     ;;&
-  release|asan|bench|chaos|serve|http|flight|observatory|quality|profile|perfbench|all) ;;
+  release|asan|bench|chaos|serve|http|flight|observatory|quality|profile|tsan|perfbench|all) ;;
   *)
-    echo "usage: $0 [release|asan|bench|chaos|serve|http|flight|observatory|quality|profile|perfbench|all]" >&2
+    echo "usage: $0 [release|asan|bench|chaos|serve|http|flight|observatory|quality|profile|tsan|perfbench|all]" >&2
     exit 2
     ;;
 esac

@@ -37,8 +37,9 @@
 //
 // `train`, `detect` and `stats` accept `--metrics <file>` (snapshot of the
 // pipeline metrics registry; `.prom`/`.txt` -> Prometheus text, otherwise
-// JSON) and `--trace <file>` (Chrome trace-event JSON — load it in
-// https://ui.perfetto.dev or about://tracing).
+// JSON) and `--trace <file>` (the pipeline stages and flight-recorder
+// events of the run's last 4096 records per thread, as Chrome trace-event
+// JSON — load it in https://ui.perfetto.dev or about://tracing).
 //
 // Log directories hold one `<container_id>.log` file per session (any mix
 // of the supported formats; auto-detected per file). `tools/loggen`
@@ -47,6 +48,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -68,7 +70,6 @@
 #include "obs/metrics.hpp"
 #include "obs/timeseries/alerts.hpp"
 #include "obs/timeseries/timeseries.hpp"
-#include "obs/trace.hpp"
 #include "serve/daemon.hpp"
 #include "serve/signals.hpp"
 
@@ -129,7 +130,7 @@ int usage() {
                "      truth; pass one --labels per report (pairs match in order)\n"
                "  --jobs:    worker threads for batch detection (0 = hardware concurrency)\n"
                "  --metrics: write a metrics snapshot (.prom/.txt -> Prometheus text, else JSON)\n"
-               "  --trace:   write Chrome trace-event JSON (open in Perfetto)\n"
+               "  --trace:   write pipeline stage spans as Chrome trace-event JSON (Perfetto)\n"
                "  --checkpoint: stream records through the online detector, checkpointing\n"
                "      state to <f> every N records (default 1000); resumes if <f> exists\n"
                "  --status-file <f>: (detect) publish a live status snapshot (atomic rename)\n"
@@ -190,21 +191,21 @@ bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() && s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-/// Installs a metrics registry and/or trace collector for the duration of a
-/// command and writes the requested output files on destruction. The
-/// registry is installed whenever metrics output is wanted OR the command
-/// itself consumes the snapshot (`stats`).
+/// Installs a metrics registry and/or turns the flight recorder on for the
+/// duration of a command and writes the requested output files on
+/// destruction. The registry is installed whenever metrics output is wanted
+/// OR the command itself consumes the snapshot (`stats`). `--trace` writes
+/// the rings' stage spans and events as Chrome trace-event JSON.
 class ObsScope {
  public:
   ObsScope(const Args& args, bool force_metrics)
       : metrics_path_(args.metrics_path), trace_path_(args.trace_path) {
     if (!metrics_path_.empty() || force_metrics) obs::set_registry(&registry_);
-    if (!trace_path_.empty()) obs::set_tracer(&trace_);
+    if (!trace_path_.empty()) obs::flight::flight_enable();
   }
 
   ~ObsScope() {
     obs::set_registry(nullptr);
-    obs::set_tracer(nullptr);
     if (!metrics_path_.empty()) {
       std::ofstream f(metrics_path_);
       if (ends_with(metrics_path_, ".prom") || ends_with(metrics_path_, ".txt")) {
@@ -219,10 +220,15 @@ class ObsScope {
       }
     }
     if (!trace_path_.empty()) {
+      const std::optional<obs::flight::FlightDump> dump = obs::flight::flight_snapshot();
+      obs::flight::flight_disable();
+      const common::Json trace =
+          obs::flight_chrome_trace(dump.value_or(obs::flight::FlightDump{}));
       std::ofstream f(trace_path_);
-      f << trace_.to_chrome_json().dump() << "\n";
+      f << trace.dump() << "\n";
       if (f.flush(); f) {
-        std::cerr << "trace (" << trace_.size() << " spans) -> " << trace_path_ << "\n";
+        std::cerr << "trace (" << trace["traceEvents"].size() << " events) -> " << trace_path_
+                  << "\n";
       } else {
         std::cerr << "error: cannot write trace to " << trace_path_ << "\n";
       }
@@ -233,7 +239,6 @@ class ObsScope {
 
  private:
   obs::MetricsRegistry registry_;
-  obs::TraceCollector trace_;
   std::string metrics_path_, trace_path_;
 };
 

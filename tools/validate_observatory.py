@@ -47,6 +47,11 @@ daemon left behind): schema, >= 50 events spanning >= 3 subsystems,
 per-thread (per ring slot, in listed order) monotonic steady timestamps,
 and — for the CI crash drill — reason "signal" with signo 11.
 
+`stages <trace.json> <prof.pprof.json> [stage...]` mode checks a `--trace`
+file against the `--profile` of the same run: every stage B has its E on
+its track, every traced stage is a profiler frame name with enters >= 1,
+and each listed stage appears.
+
 "Strict" means: the whole file must be one JSON document (json.loads over
 the full text rejects trailing garbage), every entity-group track must
 carry at least one lifespan span, and every finding must prove itself with
@@ -674,6 +679,44 @@ def flight_main(argv):
           f"dropped {doc['dropped']})")
 
 
+def stages_main(argv):
+    if len(argv) < 3:
+        fail("usage: validate_observatory.py stages <trace.json> "
+             "<prof.pprof.json> [stage...]")
+    trace_path, pprof_path, required = argv[1], argv[2], argv[3:]
+    doc = load_strict(trace_path)
+    if doc.get("displayTimeUnit") != "ms":
+        fail(f"{trace_path}: missing displayTimeUnit")
+    open_by_track = {}  # (pid, tid) -> stack of open stage names
+    spans = {}          # stage name -> closed B/E pairs
+    for e in doc.get("traceEvents", []):
+        if e.get("ph") not in ("B", "E"):
+            continue
+        name = e.get("name")
+        stack = open_by_track.setdefault((e.get("pid"), e.get("tid")), [])
+        if e["ph"] == "B":
+            stack.append(name)
+        elif stack and stack[-1] == name:
+            stack.pop()
+            spans[name] = spans.get(name, 0) + 1
+        else:
+            fail(f"{trace_path}: E {name!r} on track {e.get('tid')} closes no open B")
+    for (_, tid), stack in open_by_track.items():
+        if stack:
+            fail(f"{trace_path}: track {tid} leaves {stack} without an E")
+    enters = {}
+    for fr in load_strict(pprof_path).get("frames", []):
+        enters[fr["name"]] = enters.get(fr["name"], 0) + fr["enters"]
+    for name in spans:
+        if enters.get(name, 0) < 1:
+            fail(f"{trace_path}: stage {name!r} is no frame with enters >= 1 in {pprof_path}")
+    for name in required:
+        if name not in spans:
+            fail(f"{trace_path}: no {name!r} stage span (have {sorted(spans)})")
+    print(f"validate_observatory: stages OK — {sum(spans.values())} B/E pairs "
+          f"over {len(spans)} stages, all profiler frames")
+
+
 def main():
     if len(sys.argv) >= 2 and sys.argv[1] == "quality":
         quality_main(sys.argv[1:])
@@ -690,11 +733,15 @@ def main():
     if len(sys.argv) >= 2 and sys.argv[1] == "flight":
         flight_main(sys.argv[1:])
         return
+    if len(sys.argv) >= 2 and sys.argv[1] == "stages":
+        stages_main(sys.argv[1:])
+        return
     if len(sys.argv) != 3:
         fail("usage: validate_observatory.py <artifact-dir> <system> | "
              "quality <dir> <detected> <fp> <fn> | profile <prefix> | "
              "serve <status.json> | http HOST:PORT | "
-             "flight <flight.json> [reason signo]")
+             "flight <flight.json> [reason signo] | "
+             "stages <trace.json> <prof.pprof.json> [stage...]")
     d, system = sys.argv[1], sys.argv[2]
     tracks, subs = check_chrome_trace(f"{d}/trace.json")
     check_otlp(f"{d}/otlp.json")
