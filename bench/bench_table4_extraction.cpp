@@ -2,7 +2,7 @@
 //
 // The paper scores Intel Keys by manual comparison against the source
 // code's logging statements. Here the simulator *is* the source code: each
-// line carries a ground-truth annotation (template id, field categories,
+// line has a ground-truth annotation (template id, field categories,
 // entity phrases, operation predicates), so the comparison is exact. Paper
 // numbers for reference:
 //   Spark:     60 keys, entities 63/3/0, ids 19/1/1, values 13/1/0,
@@ -36,7 +36,8 @@ struct SystemScore {
 };
 
 SystemScore evaluate(const std::string& system) {
-  const auto sessions = bench::training_corpus(system, 40, 42);
+  std::vector<std::vector<logparse::GroundTruth>> truth;
+  const auto sessions = bench::training_corpus(system, 40, 42, &truth);
   core::IntelLog il;
   il.train(sessions);
 
@@ -46,12 +47,12 @@ SystemScore evaluate(const std::string& system) {
   // Representative ground truth per log key: the first training record that
   // matches it (the same record extraction sampled).
   std::map<int, const logparse::GroundTruth*> truth_of;
-  for (const auto& s : sessions) {
-    score.consumed += s.records.size();
-    for (const auto& rec : s.records) {
-      const int id = il.spell().match(rec.content);
-      if (id < 0 || !rec.truth) continue;
-      truth_of.emplace(id, &*rec.truth);
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    const auto& records = sessions[i].records;
+    score.consumed += records.size();
+    for (std::size_t r = 0; r < records.size(); ++r) {
+      const int id = il.spell().match(records[r].content);
+      if (id >= 0) truth_of.emplace(id, &truth[i][r]);
     }
   }
 

@@ -27,15 +27,22 @@ inline const std::vector<std::string>& systems() {
   return kSystems;
 }
 
-/// Fault-free training sessions from `jobs` tuned jobs (§6.1).
-inline std::vector<logparse::Session> training_corpus(const std::string& system, int jobs,
-                                                      std::uint64_t seed) {
+/// Fault-free training sessions from `jobs` tuned jobs (§6.1). When
+/// `truth` is non-null it receives the simulator's per-line ground truth,
+/// parallel to the returned sessions (`(*truth)[i][r]` annotates
+/// `sessions[i].records[r]`).
+inline std::vector<logparse::Session> training_corpus(
+    const std::string& system, int jobs, std::uint64_t seed,
+    std::vector<std::vector<logparse::GroundTruth>>* truth = nullptr) {
   simsys::ClusterSpec cluster;
   simsys::WorkloadGenerator gen(system, seed);
   std::vector<logparse::Session> out;
   for (int i = 0; i < jobs; ++i) {
     simsys::JobResult job = simsys::run_job(gen.training_job(), cluster);
     for (auto& s : job.sessions) out.push_back(std::move(s));
+    if (truth != nullptr) {
+      for (auto& t : job.truth) truth->push_back(std::move(t));
+    }
   }
   return out;
 }

@@ -1,6 +1,7 @@
 #include "core/intellog.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -321,27 +322,37 @@ std::vector<AnomalyReport> IntelLog::detect_batch(std::span<const logparse::Sess
   obs::MetricsRegistry* reg = obs::registry();
   obs::ScopedTimerMs timer(reg ? &reg->histogram("intellog_detect_batch_ms") : nullptr);
 
-  // Contiguous shards, one pool task each: reports land at their input
-  // index, so the output order (and content — detect() is pure) is
-  // identical no matter how many workers run or how they interleave.
+  // One pool task per shard; shards claim sessions one at a time from a
+  // shared index, so a long session delays one shard while the others
+  // drain the rest. Reports land at their input index, so the output
+  // order (and content — detect() is pure) is identical no matter how
+  // many workers run or how they interleave. The index only hands out
+  // distinct sessions (relaxed RMWs suffice); each report slot is written
+  // by the one shard that claimed it and published by parallel_for's joins.
+  std::atomic<std::size_t> next{0};
   const auto run_shard = [&](std::size_t shard) {
     OBS_STAGE("detect.batch_shard");
     // One scratch per shard: the arena's pages are acquired on the first
     // session and rewound (not freed) between sessions, so a shard of N
     // sessions does page setup once, not N times.
     DetectScratch scratch;
-    const std::size_t begin = sessions.size() * shard / shards;
-    const std::size_t end = sessions.size() * (shard + 1) / shards;
     obs::ScopedTimerMs shard_timer(
         reg ? &reg->histogram("intellog_detect_batch_shard_ms",
                               {{"shard", std::to_string(shard)}})
             : nullptr);
+    std::size_t claimed = 0;
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < sessions.size();
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      reports[i] = detect(sessions[i], scratch);
+      ++claimed;
+    }
     if (reg) {
+      // Registered even when the shard claimed nothing, so every shard's
+      // series exists and the shards sum to the batch size.
       reg->counter("intellog_detect_batch_shard_sessions_total",
                    {{"shard", std::to_string(shard)}})
-          .add(end - begin);
+          .add(claimed);
     }
-    for (std::size_t i = begin; i < end; ++i) reports[i] = detect(sessions[i], scratch);
   };
   if (shards == 1) {
     run_shard(0);

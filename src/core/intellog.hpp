@@ -67,10 +67,12 @@ class IntelLog {
   /// the hot path allocation-free; verdicts are identical either way.
   AnomalyReport detect(const logparse::Session& session, DetectScratch& scratch) const;
 
-  /// Batch detection: fans `sessions` across `jobs` worker threads in
-  /// contiguous shards. Reports are returned in input order and are
-  /// identical to calling detect() serially on each session (the whole
-  /// detect path is const + thread-safe). `jobs` == 0 uses
+  /// Batch detection: fans `sessions` across `jobs` worker threads, each
+  /// claiming the next unclaimed session until none is left (so one long
+  /// session does not hold up a fixed share of the batch). Reports are
+  /// returned in input order and are identical to calling detect()
+  /// serially on each session (the whole detect path is const +
+  /// thread-safe). `jobs` == 0 uses
   /// config().num_threads (which itself defaults to hardware
   /// concurrency); `jobs` == 1 runs inline with no pool. Records
   /// `intellog_detect_batch_*` metrics when a registry is installed.

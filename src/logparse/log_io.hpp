@@ -6,6 +6,7 @@
 // auto-detection. `tools/loggen` and the `intellog` CLI are built on this.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,7 +29,14 @@ void write_log_directory(const Formatter& fmt, const std::vector<Session>& sessi
 /// skipped with a warning on stderr (counted in
 /// `intellog_ingest_skipped_files_total` when a metrics registry is
 /// installed).
-std::vector<Session> read_log_directory(const std::string& dir, std::string_view system = {});
+///
+/// Files are read on `jobs` pool workers (0 = hardware concurrency, capped
+/// at the file count; 1 reads on the calling thread). Sessions, stderr
+/// warnings and metrics are folded in sorted path order, so the result is
+/// the same at every `jobs`. A file that cannot be opened throws, as the
+/// lowest-ordered such file would in a serial read.
+std::vector<Session> read_log_directory(const std::string& dir, std::string_view system = {},
+                                        std::size_t jobs = 0);
 
 /// Reads a single log file as one session.
 Session read_session_file(const std::string& path, std::string_view system = {});
@@ -52,9 +60,12 @@ struct IngestReport {
 /// reinserted per `options`. Exports `intellog_ingest_*` metrics when a
 /// registry is installed: `lines_total`, `records_total`,
 /// `quarantined_total{reason=…}`, `duplicates_dropped_total`,
-/// `reordered_total`, `skipped_files_total`.
+/// `reordered_total`, `skipped_files_total`. `jobs` as in
+/// read_log_directory: the stats, the quarantine channel's order and the
+/// warnings are folded in path order, identical at every `jobs`.
 IngestReport read_log_directory_resilient(const std::string& dir, std::string_view system = {},
-                                          const IngestOptions& options = {});
+                                          const IngestOptions& options = {},
+                                          std::size_t jobs = 0);
 
 /// Hardened single-file read. Files in no known format quarantine their
 /// first non-empty line with reason "no-known-format".

@@ -8,11 +8,12 @@
 // source-code inspection (§6.2) with machine-checkable annotations: the
 // simulated systems know which template produced each line and what category
 // every variable field has. IntelLog itself NEVER reads GroundTruth — only
-// the accuracy benches do.
+// the accuracy benches do — so it is not part of LogRecord: the simulator
+// keeps it in a side table parallel to each session's records
+// (simsys::JobResult::truth).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,7 +66,6 @@ struct LogRecord {
   /// the Session (one file per container).
   std::uint32_t line_no = 0;
   std::uint64_t byte_offset = 0;
-  std::optional<GroundTruth> truth;  ///< simulator side channel (benches only)
 
   /// Converts any borrowed fields into owning copies so the record can
   /// outlive its session's backing storage (no-op for owned records).

@@ -59,6 +59,14 @@ LogRecord make_record(const RecordView& v, std::string_view container_id,
   return rec;
 }
 
+// The container id records carry: a copy pinned in `backing` when the
+// records borrow, the caller's bytes otherwise (make_record copies them).
+std::string_view borrow_container_id(SessionStorage* backing, std::string_view container_id) {
+  if (backing == nullptr) return container_id;
+  backing->container_id = std::string(container_id);
+  return backing->container_id;
+}
+
 }  // namespace
 
 Session parse_session(const Formatter& fmt, std::string_view container_id,
@@ -73,10 +81,9 @@ Session parse_session(const Formatter& fmt, std::string_view container_id,
   Session s;
   s.container_id = std::string(container_id);
   s.system = std::string(system);
-  // Borrowed records view the arena copy, not s.container_id: short ids
-  // sit in the std::string's SSO buffer, which moves with the Session.
-  const std::string_view cid =
-      backing != nullptr ? backing->arena.copy(container_id) : container_id;
+  // Borrowed records view the backing's copy, not s.container_id: short
+  // ids sit in the std::string's SSO buffer, which moves with the Session.
+  const std::string_view cid = borrow_container_id(backing, container_id);
   s.records.reserve(lines.size());  // continuations only ever shrink this
   RecordView v;
   std::uint64_t offset = 0;
@@ -193,8 +200,7 @@ SessionIngest parse_session_resilient(const Formatter& fmt, std::string_view con
   out.session.system = std::string(system);
   out.session.source_file = std::string(file);
   const std::string source = file.empty() ? std::string(container_id) : std::string(file);
-  const std::string_view cid =
-      backing != nullptr ? backing->arena.copy(container_id) : container_id;
+  const std::string_view cid = borrow_container_id(backing, container_id);
 
   QuarantineChannel channel(options.max_quarantined, options.max_quarantined_bytes);
   const auto quarantine = [&](std::size_t line_no, std::uint64_t offset,

@@ -11,7 +11,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "logparse/formatter.hpp"
 #include "logparse/log_record.hpp"
 #include "logparse/mmap_file.hpp"
@@ -19,12 +18,13 @@
 namespace intellog::logparse {
 
 /// Backing bytes for a session's zero-copy records: the mmap'd source
-/// file plus an arena holding bytes that had to be synthesized during
-/// parse (the container id; nothing else on the clean-line fast path).
-/// Held by shared_ptr so copies of a Session — and the records inside
-/// them — stay valid for as long as any copy lives.
+/// file plus the one string parse has to synthesize, the container id
+/// (every record's `container_id` views it). Held by shared_ptr, so the
+/// storage never moves — the id's bytes stay put even when it fits the
+/// std::string's SSO buffer — and copies of a Session, with the records
+/// inside them, stay valid for as long as any copy lives.
 struct SessionStorage {
-  common::Arena arena;
+  std::string container_id;
   std::shared_ptr<MappedFile> mapping;
 };
 
@@ -72,9 +72,10 @@ Session parse_session(const Formatter& fmt, std::string_view container_id,
 /// View-based core of parse_session. When `backing` is non-null the
 /// produced records BORROW: level/source/content are views into the line
 /// bytes (which must outlive the session — the caller attaches the
-/// MappedFile to Session::storage) and container_id views the backing
-/// arena. With a null backing every field is an owning copy. Line byte
-/// offsets accumulate exactly as the getline path did (line + '\n').
+/// MappedFile to Session::storage) and container_id views the backing's
+/// copy of the id. With a null backing every field is an owning copy.
+/// Line byte offsets accumulate exactly as the getline path did
+/// (line + '\n').
 Session parse_session(const Formatter& fmt, std::string_view container_id,
                       const std::vector<std::string_view>& lines, std::string_view system,
                       SessionStorage* backing);

@@ -17,17 +17,15 @@ SessionBuilder::SessionBuilder(const TemplateCorpus& corpus, std::string contain
 void SessionBuilder::emit(std::string_view tmpl_name, std::vector<std::string> values,
                           bool injected) {
   const LogTemplate& tmpl = corpus_.by_name(tmpl_name);
-  logparse::LogRecord rec;
-  logparse::GroundTruth truth;
-  rec.content = tmpl.render(values, &truth);
-  truth.system = corpus_.system();
-  truth.injected_anomaly = injected;
-  rec.truth = std::move(truth);
+  Emitted& e = records_.emplace_back();
+  logparse::LogRecord& rec = e.record;
+  rec.content = tmpl.render(values, &e.truth);
+  e.truth.system = corpus_.system();
+  e.truth.injected_anomaly = injected;
   rec.level = tmpl.level;
   rec.source = tmpl.source;
   rec.timestamp_ms = now_ms_;
   rec.container_id = container_id_;
-  records_.push_back(std::move(rec));
   advance(1, 30);
 }
 
@@ -46,22 +44,27 @@ void SessionBuilder::absorb(SessionBuilder&& thread) {
 }
 
 void SessionBuilder::truncate_after(std::uint64_t cutoff_ms) {
-  std::erase_if(records_, [cutoff_ms](const logparse::LogRecord& r) {
-    return r.timestamp_ms > cutoff_ms;
+  std::erase_if(records_, [cutoff_ms](const Emitted& e) {
+    return e.record.timestamp_ms > cutoff_ms;
   });
   now_ms_ = std::min(now_ms_, cutoff_ms);
 }
 
-logparse::Session SessionBuilder::finish() {
+logparse::Session SessionBuilder::finish(std::vector<logparse::GroundTruth>* truth) {
   OBS_STAGE("simsys.session_finish");
-  std::stable_sort(records_.begin(), records_.end(),
-                   [](const logparse::LogRecord& a, const logparse::LogRecord& b) {
-                     return a.timestamp_ms < b.timestamp_ms;
-                   });
+  std::stable_sort(records_.begin(), records_.end(), [](const Emitted& a, const Emitted& b) {
+    return a.record.timestamp_ms < b.record.timestamp_ms;
+  });
   logparse::Session s;
   s.container_id = container_id_;
   s.system = corpus_.system();
-  s.records = std::move(records_);
+  s.records.reserve(records_.size());
+  if (truth != nullptr) truth->reserve(truth->size() + records_.size());
+  for (Emitted& e : records_) {
+    s.records.push_back(std::move(e.record));
+    if (truth != nullptr) truth->push_back(std::move(e.truth));
+  }
+  records_.clear();
   return s;
 }
 

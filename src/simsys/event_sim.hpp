@@ -49,18 +49,27 @@ class SessionBuilder {
   /// the process stops logging instantly, no cleanup lines).
   void truncate_after(std::uint64_t cutoff_ms);
 
-  /// Sorts all streams by timestamp and returns the session.
-  logparse::Session finish();
+  /// Sorts all streams by timestamp and returns the session. When `truth`
+  /// is non-null it receives each record's ground truth, parallel to the
+  /// session's records (`(*truth)[r]` annotates `records[r]`).
+  logparse::Session finish(std::vector<logparse::GroundTruth>* truth = nullptr);
 
   std::size_t record_count() const { return records_.size(); }
 
  private:
+  /// A record and its ground truth travel together through absorb,
+  /// truncate_after and finish's stable sort; finish splits them.
+  struct Emitted {
+    logparse::LogRecord record;
+    logparse::GroundTruth truth;
+  };
+
   const TemplateCorpus& corpus_;
   std::string container_id_;
   std::string node_;
   std::uint64_t now_ms_;
   common::Rng rng_;
-  std::vector<logparse::LogRecord> records_;
+  std::vector<Emitted> records_;
 };
 
 }  // namespace intellog::simsys

@@ -1,4 +1,4 @@
-// Result of simulating one job: its sessions plus fault ground truth.
+// Result of simulating one job: its sessions plus line and fault ground truth.
 #pragma once
 
 #include <set>
@@ -14,6 +14,10 @@ struct JobResult {
   JobSpec spec;
   FaultPlan fault;
   std::vector<logparse::Session> sessions;
+  /// Ground truth of every simulated line, parallel to `sessions`:
+  /// `truth[i][r]` annotates `sessions[i].records[r]`. Only accuracy
+  /// benches and simulator tests read it; detection never does.
+  std::vector<std::vector<logparse::GroundTruth>> truth;
   /// Containers whose logs were actually disturbed by the fault plan
   /// (ground truth for session-level detection metrics). Includes sessions
   /// disturbed by side effects — e.g. spill messages from a memory

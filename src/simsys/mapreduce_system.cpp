@@ -307,7 +307,7 @@ JobResult MapReduceJobSim::run(const JobSpec& spec, const ClusterSpec& cluster,
     b.emit("am.staging.delete", {"hdfs://master:9000/tmp/hadoop-yarn/staging/" + job_id});
     finish_session(b, 0, fault_affected);
     if (fault_affected) result.affected_containers.insert(b.container_id());
-    result.sessions.push_back(b.finish());
+    result.sessions.push_back(b.finish(&result.truth.emplace_back()));
   }
 
   // ---- mapper sessions -------------------------------------------------------
@@ -413,7 +413,7 @@ JobResult MapReduceJobSim::run(const JobSpec& spec, const ClusterSpec& cluster,
     finish_session(b, idx, fault_affected);
     if (fault_affected) result.affected_containers.insert(b.container_id());
     if (perf_affected) result.perf_affected_containers.insert(b.container_id());
-    result.sessions.push_back(b.finish());
+    result.sessions.push_back(b.finish(&result.truth.emplace_back()));
   }
 
   // ---- reducer sessions -------------------------------------------------------
@@ -506,7 +506,7 @@ JobResult MapReduceJobSim::run(const JobSpec& spec, const ClusterSpec& cluster,
     b.emit("map.metrics.stop", {});
     finish_session(b, idx, fault_affected);
     if (fault_affected) result.affected_containers.insert(b.container_id());
-    result.sessions.push_back(b.finish());
+    result.sessions.push_back(b.finish(&result.truth.emplace_back()));
   }
 
   return result;

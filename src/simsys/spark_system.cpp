@@ -495,7 +495,7 @@ JobResult SparkJobSim::run(const JobSpec& spec, const ClusterSpec& cluster,
 
     if (fault_affected) result.affected_containers.insert(container);
     if (perf_affected) result.perf_affected_containers.insert(container);
-    result.sessions.push_back(b.finish());
+    result.sessions.push_back(b.finish(&result.truth.emplace_back()));
   };
 
   // Executors first, the driver container last so it can replay every

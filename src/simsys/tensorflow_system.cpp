@@ -143,7 +143,7 @@ JobResult TensorFlowJobSim::run(const JobSpec& spec, const ClusterSpec& cluster,
     b.emit("session.close", {});
     apply_faults(b, p, fault_affected);
     if (fault_affected) result.affected_containers.insert(b.container_id());
-    result.sessions.push_back(b.finish());
+    result.sessions.push_back(b.finish(&result.truth.emplace_back()));
   }
 
   // ---- workers (worker 0 = chief) -----------------------------------------------
@@ -220,7 +220,7 @@ JobResult TensorFlowJobSim::run(const JobSpec& spec, const ClusterSpec& cluster,
     }
     if (fault_affected) result.affected_containers.insert(b.container_id());
     if (perf_affected) result.perf_affected_containers.insert(b.container_id());
-    result.sessions.push_back(b.finish());
+    result.sessions.push_back(b.finish(&result.truth.emplace_back()));
   }
   return result;
 }

@@ -270,7 +270,7 @@ JobResult TezJobSim::run(const JobSpec& spec, const ClusterSpec& cluster,
     b.emit("am.query.done", {query_id, std::to_string(5 + b.rng().uniform(300))});
     apply_faults(b, 0, fault_affected);
     if (fault_affected) result.affected_containers.insert(b.container_id());
-    result.sessions.push_back(b.finish());
+    result.sessions.push_back(b.finish(&result.truth.emplace_back()));
   }
 
   // ---- task containers ---------------------------------------------------
@@ -396,7 +396,7 @@ JobResult TezJobSim::run(const JobSpec& spec, const ClusterSpec& cluster,
     apply_faults(b, idx, fault_affected);
     if (fault_affected) result.affected_containers.insert(b.container_id());
     if (perf_affected) result.perf_affected_containers.insert(b.container_id());
-    result.sessions.push_back(b.finish());
+    result.sessions.push_back(b.finish(&result.truth.emplace_back()));
   }
 
   return result;

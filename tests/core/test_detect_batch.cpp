@@ -5,6 +5,8 @@
 // concurrent match()/metrics paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/intellog.hpp"
 #include "core/online.hpp"
 #include "obs/metrics.hpp"
@@ -115,6 +117,47 @@ TEST_F(DetectBatch, RecordsShardMetrics) {
     sharded += c->value();
   }
   EXPECT_EQ(sharded, sessions->size());
+}
+
+TEST_F(DetectBatch, SkewedBatchIsByteIdenticalAndEveryShardCounts) {
+  // One session 50x longer than the others, first in the batch: the shard
+  // that claims it keeps detecting while the rest drain the short ones.
+  ASSERT_FALSE(sessions->empty());
+  const logparse::Session& base = sessions->front();
+  ASSERT_GT(base.records.size(), 1u);
+  std::vector<logparse::Session> skewed;
+  logparse::Session& long_one = skewed.emplace_back(base);
+  long_one.spell_keys.clear();
+  for (int k = 1; k < 50; ++k) {
+    long_one.records.insert(long_one.records.end(), base.records.begin(), base.records.end());
+  }
+  for (int rep = 0; rep < 3; ++rep) {
+    for (const auto& s : *sessions) {
+      logparse::Session& short_one = skewed.emplace_back(s);
+      short_one.spell_keys.clear();
+      short_one.records.resize(std::min(s.records.size(), base.records.size()));
+    }
+  }
+  std::vector<core::AnomalyReport> serial;
+  serial.reserve(skewed.size());
+  for (const auto& s : skewed) serial.push_back(il->detect(s));
+  const std::vector<std::string> want = serialize(serial);
+
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    obs::MetricsRegistry reg;
+    obs::set_registry(&reg);
+    const auto batch = il->detect_batch(skewed, jobs);
+    obs::set_registry(nullptr);
+    EXPECT_EQ(serialize(batch), want) << "jobs=" << jobs;
+    std::uint64_t claimed = 0;
+    for (std::size_t shard = 0; shard < jobs; ++shard) {
+      const obs::Counter* c = reg.find_counter("intellog_detect_batch_shard_sessions_total",
+                                               {{"shard", std::to_string(shard)}});
+      ASSERT_NE(c, nullptr) << "jobs=" << jobs << " shard " << shard;
+      claimed += c->value();
+    }
+    EXPECT_EQ(claimed, skewed.size()) << "jobs=" << jobs;
+  }
 }
 
 TEST_F(DetectBatch, CoverageLedgerOffKeepsReportsByteIdentical) {

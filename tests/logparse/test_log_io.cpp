@@ -4,10 +4,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "core/intellog.hpp"
+#include "obs/metrics.hpp"
 #include "simsys/workload.hpp"
 
 using namespace intellog;
@@ -204,6 +207,150 @@ TEST(LogIo, RecursiveDiscovery) {
   s.container_id = "c2";
   write_session_file(*fmt, s, dir.path() + "/job_1/c2.log");
   EXPECT_EQ(read_log_directory(dir.path()).size(), 2u);
+}
+
+namespace {
+
+// A directory that exercises every branch of the directory fold: 64+
+// parseable files spread over nested job directories, zero-byte files
+// (kept as empty sessions), whitespace-only files (dropped silently),
+// files in no known format (warned about, counted, quarantined) and files
+// with torn and binary lines (quarantined in place).
+std::size_t build_mixed_directory(const std::string& root) {
+  namespace fs = std::filesystem;
+  simsys::ClusterSpec cluster;
+  simsys::WorkloadGenerator gen("spark", 29);
+  const auto fmt = make_spark_formatter();
+  std::size_t files = 0;
+  for (int j = 0; files < 64; ++j) {
+    const simsys::JobResult job = simsys::run_job(gen.training_job(), cluster);
+    const std::string dir = root + "/job_" + std::to_string(j);
+    write_log_directory(*fmt, job.sessions, dir);
+    files += job.sessions.size();
+  }
+  fs::create_directories(root + "/job_0/nested/deeper");
+  for (int i = 0; i < 4; ++i) {
+    const std::string n = std::to_string(i);
+    { std::ofstream empty(root + "/job_" + n + "/container_dead_" + n + ".log"); }
+    {
+      std::ofstream blank(root + "/job_" + n + "/blank_" + n + ".log");
+      blank << "\n\n";
+    }
+    {
+      std::ofstream junk(root + "/job_0/nested/junk_" + n + ".log");
+      junk << "\n  no known format " << n << "\nsecond line\n";
+    }
+    {
+      std::ofstream torn(root + "/job_0/nested/deeper/torn_" + n + ".log");
+      torn << "19/06/01 06:00:1" << n << " INFO executor.Executor: Running task " << n << "\n"
+           << "19/06/01 06:0\n"
+           << "\x01\x02\x03\x04\x05\x06 garbage " << n << "\n"
+           << "19/06/01 06:00:2" << n << " INFO executor.Executor: Finished task " << n << "\n"
+           << "19/06/01 06:00:2" << n << " INFO executor.Executor: Finished task " << n << "\n";
+    }
+    files += 4;
+  }
+  return files;
+}
+
+// Every field a reader fills, one line per record, so a mismatch shows
+// the first differing session.
+std::string describe(const std::vector<Session>& sessions) {
+  std::ostringstream out;
+  for (const Session& s : sessions) {
+    out << "session " << s.container_id << " system=" << s.system << " file=" << s.source_file
+        << " records=" << s.records.size() << "\n";
+    for (const LogRecord& r : s.records) {
+      out << "  " << r.line_no << "@" << r.byte_offset << " t=" << r.timestamp_ms << " "
+          << r.level << " " << r.source << " [" << r.container_id << "] " << r.content << "\n";
+    }
+  }
+  return out.str();
+}
+
+std::string describe(const IngestReport& report) {
+  std::ostringstream out;
+  out << describe(report.sessions);
+  for (const QuarantinedLine& q : report.quarantined) {
+    out << "quarantined " << q.file << ":" << q.line_no << "@" << q.byte_offset << " "
+        << q.raw_bytes << "B " << q.reason << " " << q.text << "\n";
+  }
+  const IngestStats& st = report.stats;
+  out << "stats lines=" << st.lines_total << " records=" << st.records
+      << " continuations=" << st.continuations << " quarantined=" << st.quarantined
+      << " dups=" << st.duplicates_dropped << " reordered=" << st.reordered
+      << " skipped=" << st.skipped_files << " dropped=" << st.quarantine_dropped << "\n";
+  for (const auto& [reason, n] : st.quarantined_by_reason) out << "  " << reason << "=" << n << "\n";
+  return out.str();
+}
+
+}  // namespace
+
+TEST(LogIo, ParallelReadMatchesSerialAtEveryWidth) {
+  TempDir dir;
+  ASSERT_GE(build_mixed_directory(dir.path()), 64u);
+
+  std::string want, want_err;
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    obs::MetricsRegistry registry;
+    obs::set_registry(&registry);
+    testing::internal::CaptureStderr();
+    const auto sessions = read_log_directory(dir.path(), "spark", jobs);
+    const std::string err = testing::internal::GetCapturedStderr();
+    obs::set_registry(nullptr);
+    const obs::Counter* skipped = registry.find_counter("intellog_ingest_skipped_files_total");
+    ASSERT_NE(skipped, nullptr) << "jobs=" << jobs;
+    EXPECT_EQ(skipped->value(), 4u) << "jobs=" << jobs;
+    const std::string got = describe(sessions);
+    if (jobs == 1) {
+      want = got;
+      want_err = err;
+      // The serial read is the reference: zero-byte files are kept, blank
+      // and unparseable ones dropped, and each unparseable one warned
+      // about once, in path order.
+      EXPECT_NE(want.find("session container_dead_0 "), std::string::npos);
+      EXPECT_EQ(want.find("session blank_0 "), std::string::npos);
+      EXPECT_EQ(want.find("session junk_0 "), std::string::npos);
+      for (int i = 0; i < 4; ++i) {
+        EXPECT_NE(err.find("junk_" + std::to_string(i) + ".log: no known log format"),
+                  std::string::npos);
+      }
+      EXPECT_LT(err.find("junk_0.log"), err.find("junk_3.log"));
+      continue;
+    }
+    EXPECT_EQ(got, want) << "jobs=" << jobs;
+    EXPECT_EQ(err, want_err) << "jobs=" << jobs;
+  }
+}
+
+TEST(LogIo, ParallelResilientReadMatchesSerialAtEveryWidth) {
+  TempDir dir;
+  ASSERT_GE(build_mixed_directory(dir.path()), 64u);
+  // A second pass with a tight channel cap: rotation keeps the newest
+  // quarantined lines in path order, so it must drop the same ones.
+  IngestOptions tight;
+  tight.max_quarantined = 5;
+  for (const IngestOptions& options : {IngestOptions{}, tight}) {
+    std::string want, want_err;
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      testing::internal::CaptureStderr();
+      const IngestReport report = read_log_directory_resilient(dir.path(), "spark", options, jobs);
+      const std::string err = testing::internal::GetCapturedStderr();
+      const std::string got = describe(report);
+      if (jobs == 1) {
+        want = got;
+        want_err = err;
+        EXPECT_EQ(report.stats.skipped_files, 4u);
+        EXPECT_GT(report.stats.quarantined, 8u);
+        EXPECT_GT(report.stats.duplicates_dropped, 0u);
+        EXPECT_EQ(report.quarantined.size(),
+                  std::min(options.max_quarantined, report.stats.quarantined));
+        continue;
+      }
+      EXPECT_EQ(got, want) << "jobs=" << jobs << " cap=" << options.max_quarantined;
+      EXPECT_EQ(err, want_err) << "jobs=" << jobs << " cap=" << options.max_quarantined;
+    }
+  }
 }
 
 TEST(HwGraphDot, ExportShape) {

@@ -294,7 +294,15 @@ TEST(Profile, HotFramesAreOrderedBySelfSamples) {
   Profiler prof(fast_opts());
   {
     PROF_FRAME("test.cold");
+    // A loaded host can delay the sampler's wake-up by more than a short
+    // frame lasts, so a fixed 5 ms can go unsampled: keep the frame open
+    // until the sampler has recorded one sample in it (the deadline is far
+    // beyond any wake-up delay seen).
+    const obs::FrameNode* cold = find_child(prof.root(), "test.cold");
+    ASSERT_NE(cold, nullptr);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
     busy_ms(5);
+    while (cold->samples.load() == 0 && std::chrono::steady_clock::now() < deadline) busy_ms(1);
   }
   {
     PROF_FRAME("test.warm");

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
+#include "simsys/mapreduce_system.hpp"
+#include "simsys/spark_system.hpp"
+#include "simsys/tensorflow_system.hpp"
+#include "simsys/tez_system.hpp"
 #include "simsys/workload.hpp"
 #include "simsys/yarn_system.hpp"
 
@@ -80,11 +85,10 @@ TEST_P(SimulatorPerSystem, CleanRunHasNoFaultArtifacts) {
   EXPECT_TRUE(r.affected_containers.empty());
   EXPECT_TRUE(r.perf_affected_containers.empty());
   EXPECT_FALSE(contains_content(r, "ailed to connect"));
-  for (const auto& s : r.sessions) {
-    for (const auto& rec : s.records) {
-      ASSERT_TRUE(rec.truth.has_value());
-      EXPECT_FALSE(rec.truth->injected_anomaly);
-    }
+  ASSERT_EQ(r.truth.size(), r.sessions.size());
+  for (std::size_t i = 0; i < r.sessions.size(); ++i) {
+    ASSERT_EQ(r.truth[i].size(), r.sessions[i].records.size());
+    for (const auto& truth : r.truth[i]) EXPECT_FALSE(truth.injected_anomaly);
   }
 }
 
@@ -92,10 +96,45 @@ TEST_P(SimulatorPerSystem, GroundTruthCarriesTemplateIds) {
   const ClusterSpec cluster;
   const JobResult r = run_job(spec_for(GetParam(), 5, 33), cluster);
   std::set<int> template_ids;
-  for (const auto& s : r.sessions) {
-    for (const auto& rec : s.records) template_ids.insert(rec.truth->template_id);
+  ASSERT_EQ(r.truth.size(), r.sessions.size());
+  for (std::size_t i = 0; i < r.sessions.size(); ++i) {
+    ASSERT_EQ(r.truth[i].size(), r.sessions[i].records.size());
+    for (const auto& truth : r.truth[i]) template_ids.insert(truth.template_id);
   }
   EXPECT_GT(template_ids.size(), 8u);
+}
+
+TEST_P(SimulatorPerSystem, GroundTruthTravelsWithItsRecord) {
+  // Forked thread streams are absorbed, aborted sessions truncated and
+  // every session stable-sorted by time; each record's side-table entry
+  // must still describe that record: re-rendering its template with the
+  // annotated field values gives back the record's content.
+  const std::map<std::string, const TemplateCorpus*> corpora = {
+      {"spark", &spark_corpus()},
+      {"mapreduce", &mapreduce_corpus()},
+      {"tez", &tez_corpus()},
+      {"tensorflow", &tensorflow_corpus()}};
+  const ClusterSpec cluster;
+  WorkloadGenerator gen(GetParam(), 5);
+  const FaultPlan fault = gen.make_fault(ProblemKind::SessionAbort, cluster);
+  const JobResult r = run_job(spec_for(GetParam(), 10, 3), cluster, fault);
+  ASSERT_EQ(r.truth.size(), r.sessions.size());
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < r.sessions.size(); ++i) {
+    const auto& records = r.sessions[i].records;
+    ASSERT_EQ(r.truth[i].size(), records.size());
+    for (std::size_t k = 0; k < records.size(); ++k) {
+      const intellog::logparse::GroundTruth& t = r.truth[i][k];
+      const TemplateCorpus& corpus = *corpora.at(t.system);
+      std::vector<std::string> values;
+      for (const auto& f : t.fields) values.push_back(f.text);
+      const LogTemplate& tmpl = corpus.by_id(t.template_id);
+      ASSERT_EQ(tmpl.render(values), records[k].content.view()) << "session " << i << " record " << k;
+      EXPECT_EQ(tmpl.source, records[k].source.view());
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 100u);
 }
 
 TEST_P(SimulatorPerSystem, SessionAbortTruncatesAVictim) {

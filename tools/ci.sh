@@ -30,6 +30,21 @@ mode="${1:-all}"
 generator=()
 command -v ninja >/dev/null 2>&1 && generator=(-G Ninja)
 
+# Each stage's scratch directory is removed when the stage ends, whether it
+# passed or failed: a failing check exits the script from inside the stage,
+# so removal is an EXIT trap, set when the directory is made and cleared
+# once the stage has removed the directory itself.
+stage_tmp() {  # stage_tmp VAR: make a directory and store its path in VAR
+  local d
+  d="$(mktemp -d)"
+  trap "rm -rf '$d'" EXIT
+  printf -v "$1" '%s' "$d"
+}
+end_stage_tmp() {
+  rm -rf "$1"
+  trap - EXIT
+}
+
 run_config() {
   local name="$1"; shift
   local dir="$repo/build-ci-$name"
@@ -101,7 +116,7 @@ bench_smoke() {
     run_config release -DCMAKE_BUILD_TYPE=Release
   fi
   local out
-  out="$(mktemp -d)"
+  stage_tmp out
   echo "==> [bench] smoke run (bench_micro_pipeline harness section)"
   INTELLOG_BENCH_DIR="$out" "$dir/bench/bench_micro_pipeline" \
     --benchmark_filter='DISABLED_none' >/dev/null 2>&1 || {
@@ -109,6 +124,7 @@ bench_smoke() {
   local baseline="$repo/BENCH_micro_pipeline.json"
   if [[ ! -f "$baseline" ]]; then
     echo "bench smoke: no committed baseline at $baseline; skipping comparison"
+    end_stage_tmp "$out"
     return 0
   fi
   python3 "$repo/tools/compare_bench.py" "$baseline" "$out/BENCH_micro_pipeline.json" \
@@ -124,6 +140,7 @@ bench_smoke() {
     --extra-max detect_allocs_per_record=10 \
     --extra-max online_consume_allocs_per_record=6.5 \
     --extra-max scrape_overhead_ratio=1.05
+  end_stage_tmp "$out"
 }
 
 # Profile smoke: the Performance Observatory end to end through the CLI.
@@ -154,7 +171,7 @@ profile_smoke() {
   fi
   echo "==> [profile:$name] seeded profiler smoke"
   local tmp rc
-  tmp="$(mktemp -d)"
+  stage_tmp tmp
   "$dir/tools/loggen" "$tmp/jobs" --system spark --jobs 20 --seed 11 >/dev/null
   mkdir -p "$tmp/logs"
   cp "$tmp"/jobs/job_*/*.log "$tmp/logs/"
@@ -185,7 +202,7 @@ profile_smoke() {
       "$tmp/wrap.pprof.json" train.pipeline train.spell train.extract \
       train.group_entities train.subroutines train.session_view train.hwgraph || {
     echo "profile smoke: FAIL — train stage trace ($name)" >&2; exit 1; }
-  rm -rf "$tmp"
+  end_stage_tmp "$tmp"
   echo "profile smoke: OK ($name)"
 }
 
@@ -201,7 +218,7 @@ observatory_smoke() {
   [[ -x "$dir/tools/intellog" ]] || run_config release -DCMAKE_BUILD_TYPE=Release
   echo "==> [observatory] seeded export/explain/status validation"
   local tmp sys rc
-  tmp="$(mktemp -d)"
+  stage_tmp tmp
   for sys in spark mapreduce tez; do
     "$dir/tools/loggen" "$tmp/$sys/train" --system "$sys" --jobs 3 --seed 7 >/dev/null
     "$dir/tools/loggen" "$tmp/$sys/clean" --system "$sys" --jobs 1 --seed 99 >/dev/null
@@ -237,7 +254,7 @@ observatory_smoke() {
     python3 "$repo/tools/validate_observatory.py" "$tmp/$sys" "$sys" || {
       echo "observatory smoke: FAIL — schema validation for $sys" >&2; exit 1; }
   done
-  rm -rf "$tmp"
+  end_stage_tmp "$tmp"
   echo "observatory smoke: OK (spark, mapreduce, tez)"
 }
 
@@ -255,7 +272,7 @@ quality_smoke() {
   [[ -x "$dir/tools/intellog" ]] || run_config release -DCMAKE_BUILD_TYPE=Release
   echo "==> [quality] seeded score round-trip + coverage/drift gates"
   local tmp rc
-  tmp="$(mktemp -d)"
+  stage_tmp tmp
   "$dir/tools/loggen" "$tmp/train" --system spark --jobs 30 --seed 2024 >/dev/null
   "$dir/tools/intellog" train "$tmp/train" -o "$tmp/model.json" >/dev/null
 
@@ -280,7 +297,7 @@ quality_smoke() {
 
   python3 "$repo/tools/validate_observatory.py" quality "$tmp" 15 1 0 || {
     echo "quality smoke: FAIL — score/coverage/drift validation" >&2; exit 1; }
-  rm -rf "$tmp"
+  end_stage_tmp "$tmp"
 }
 
 # Chaos smoke: the seeded log-stream corruptor + hardened-ingestion soak
@@ -296,7 +313,7 @@ chaos_smoke() {
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   echo "==> [chaos] corrupted-stream soak (3 seeds, ASan/UBSan)"
   local tmp seed no_mmap
-  tmp="$(mktemp -d)"
+  stage_tmp tmp
   for seed in 1 2 3; do
     # Seed 3 runs with mmap disabled: the read()-fallback reader must
     # survive the same corrupted streams as the mmap path.
@@ -308,7 +325,7 @@ chaos_smoke() {
       exit 1
     }
   done
-  rm -rf "$tmp"
+  end_stage_tmp "$tmp"
 }
 
 # Serve smoke: the multi-tenant daemon's chaos gate (tools/serve_soak)
@@ -330,7 +347,7 @@ serve_smoke() {
   fi
   echo "==> [serve] multi-tenant daemon soak (3 seeds, ASan/UBSan)"
   local tmp seed rc
-  tmp="$(mktemp -d)"
+  stage_tmp tmp
   for seed in 1 2 3; do
     ASAN_OPTIONS=detect_leaks=1 INTELLOG_ARENA_POISON=1 \
         "$dir/tools/serve_soak" --seed "$seed" --workdir "$tmp/soak_$seed" || {
@@ -368,7 +385,7 @@ serve_smoke() {
     echo "serve smoke: FAIL — top cannot render the serve status" >&2; exit 1; }
   python3 "$repo/tools/validate_observatory.py" serve "$tmp/status.json" || {
     echo "serve smoke: FAIL — serve status validation" >&2; exit 1; }
-  rm -rf "$tmp"
+  end_stage_tmp "$tmp"
 }
 
 # Flight smoke: the black-box recorder's crash drill. A Release daemon is
@@ -389,7 +406,7 @@ flight_smoke() {
   fi
   echo "==> [flight] crash-time black-box drill (Release)"
   local tmp pid addr rc i
-  tmp="$(mktemp -d)"
+  stage_tmp tmp
   "$dir/tools/loggen" "$tmp/gen_a" --system spark --jobs 2 --seed 5 >/dev/null
   "$dir/tools/loggen" "$tmp/gen_b" --system spark --jobs 2 --seed 6 >/dev/null
   mkdir -p "$tmp/root/acme" "$tmp/root/globex" "$tmp/train"
@@ -466,7 +483,7 @@ PY
   else
     echo "flight smoke: note — no ASan build tree, decode-only repeat skipped"
   fi
-  rm -rf "$tmp"
+  end_stage_tmp "$tmp"
   echo "flight smoke: OK"
 }
 
@@ -495,7 +512,7 @@ http_smoke() {
   fi
   echo "==> [http:$name] live admin-plane smoke"
   local tmp pid addr rc i
-  tmp="$(mktemp -d)"
+  stage_tmp tmp
   "$dir/tools/loggen" "$tmp/gen_a" --system spark --jobs 2 --seed 5 >/dev/null
   "$dir/tools/loggen" "$tmp/gen_b" --system spark --jobs 2 --seed 6 >/dev/null
   mkdir -p "$tmp/root/acme" "$tmp/root/globex" "$tmp/train"
@@ -594,23 +611,27 @@ PY
   rc=0; wait "$pid" || rc=$?
   [[ $rc -eq $((128 + 15)) ]] || {
     echo "http smoke: FAIL — SIGTERM drain exited $rc (want 143)" >&2; exit 1; }
-  rm -rf "$tmp"
+  end_stage_tmp "$tmp"
   echo "http smoke: OK ($name)"
 }
 
 # TSan smoke: a ThreadSanitizer build of the suites that own lock-free or
 # cross-thread state — event rings and thread pool, profiler, flight
-# recorder and stages, the serve daemon. Any race report fails the stage.
+# recorder and stages, the serve daemon, detect_batch's session claiming
+# and the parallel directory read. Any race report fails the stage.
 tsan_smoke() {
   local dir="$repo/build-ci-tsan"
   echo "==> [tsan] build + lock-free/cross-thread suites"
   cmake -B "$dir" -S "$repo" "${generator[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread" -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-  cmake --build "$dir" -j "$jobs" --target test_common test_obs test_serve
+  cmake --build "$dir" -j "$jobs" --target test_common test_obs test_serve test_core \
+      test_logparse
   local -x TSAN_OPTIONS="halt_on_error=1"
   "$dir/tests/test_common" --gtest_filter='EventRing.*:ThreadPool.*'
   "$dir/tests/test_obs" --gtest_filter='Profile.*:Flight*:Stage.*'
   "$dir/tests/test_serve"
+  "$dir/tests/test_core" --gtest_filter='DetectBatch.*'
+  "$dir/tests/test_logparse" --gtest_filter='LogIo.*:*Resilient*'
 }
 
 # Perfbench smoke: the end-to-end benchmark's own tests. They check the

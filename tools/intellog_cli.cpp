@@ -128,7 +128,8 @@ int usage() {
                "  intellog score <report.json>... --labels <labels.json>... [--json]\n"
                "      precision/recall/F1 of detect --json report(s) vs loggen ground\n"
                "      truth; pass one --labels per report (pairs match in order)\n"
-               "  --jobs:    worker threads for batch detection (0 = hardware concurrency)\n"
+               "  --jobs:    worker threads for reading <logdir> and for batch detection\n"
+               "      (0 = hardware concurrency); output is identical at any N\n"
                "  --metrics: write a metrics snapshot (.prom/.txt -> Prometheus text, else JSON)\n"
                "  --trace:   write pipeline stage spans as Chrome trace-event JSON (Perfetto)\n"
                "  --checkpoint: stream records through the online detector, checkpointing\n"
@@ -172,7 +173,7 @@ struct Args {
   std::uint64_t timeout_ms = 2000;      ///< top --connect / healthcheck deadline
   double metrics_interval_s = 0;        ///< detect: periodic flush period (0: off)
   std::size_t checkpoint_every = 1000;  ///< records between checkpoints
-  std::size_t jobs = 1;  ///< batch-detect workers; 0 = hardware concurrency
+  std::size_t jobs = 1;  ///< read + batch-detect workers; 0 = hardware concurrency
   // serve knobs (defaults mirror serve::ServeOptions / TenantQuotas)
   std::uint64_t poll_ms = 50;            ///< serve: idle sleep between ticks
   std::uint64_t max_ticks = 0;           ///< serve: drain after N ticks (0: run on)
@@ -500,7 +501,8 @@ int cmd_detect_stream(const Args& args) {
   const core::IntelLog il = core::load_model_file(args.model_path);
   if (obs::MetricsRegistry* reg = obs::registry()) il.record_model_metrics(*reg);
   if (!args.coverage_path.empty()) il.set_coverage_enabled(true);
-  const auto ingest = logparse::read_log_directory_resilient(args.logdir);
+  const auto ingest =
+      logparse::read_log_directory_resilient(args.logdir, /*system=*/{}, {}, args.jobs);
   if (ingest.stats.quarantined > 0) {
     std::cerr << "warning: " << ingest.stats.quarantined
               << " lines quarantined (see `intellog quarantine " << args.logdir << "`)\n";
@@ -727,9 +729,10 @@ int cmd_detect(const Args& args) {
   const core::IntelLog il = core::load_model_file(args.model_path);
   if (obs::MetricsRegistry* reg = obs::registry()) il.record_model_metrics(*reg);
   if (!args.coverage_path.empty()) il.set_coverage_enabled(true);
-  const auto sessions = logparse::read_log_directory(args.logdir);
-  // Sharded batch detection (--jobs N; default 1 = serial). Reports come
-  // back input-ordered, so the printed output is identical at any width.
+  // Parallel read and sharded batch detection (--jobs N; default 1 =
+  // serial). Sessions and reports come back in path order, so the printed
+  // output is identical at any width.
+  const auto sessions = logparse::read_log_directory(args.logdir, /*system=*/{}, args.jobs);
   const std::vector<core::AnomalyReport> batch = il.detect_batch(sessions, args.jobs);
   std::size_t anomalous = 0;
   common::Json reports = common::Json::array();
@@ -821,7 +824,7 @@ int cmd_coverage(const Args& args) {
   const core::IntelLog il = core::load_model_file(args.model_path);
   if (obs::MetricsRegistry* reg = obs::registry()) il.record_model_metrics(*reg);
   il.set_coverage_enabled(true);
-  const auto sessions = logparse::read_log_directory(args.logdir);
+  const auto sessions = logparse::read_log_directory(args.logdir, /*system=*/{}, args.jobs);
   il.detect_batch(sessions, args.jobs);
   const core::CoverageLedger* cov = il.coverage();
   if (obs::MetricsRegistry* reg = obs::registry()) cov->record_metrics(*reg);
@@ -990,7 +993,7 @@ int cmd_stats(const Args& args) {
 
   const core::IntelLog il = core::load_model_file(args.model_path);
   il.record_model_metrics(reg);
-  const auto sessions = logparse::read_log_directory(args.logdir);
+  const auto sessions = logparse::read_log_directory(args.logdir, /*system=*/{}, args.jobs);
 
   // Route every record through the streaming detector so the per-record
   // consume-latency histogram and session gauges are populated too.
