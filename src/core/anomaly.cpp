@@ -147,7 +147,9 @@ AnomalyDetector::AnomalyDetector(const logparse::Spell& spell, const logparse::K
     }
     std::sort(plan.groups.begin(), plan.groups.end());
     plan.groups.erase(std::unique(plan.groups.begin(), plan.groups.end()), plan.groups.end());
-    if (!plan.groups.empty()) plan.intel_key = &ik;
+    if (plan.groups.empty()) continue;
+    plan.intel_key = &ik;
+    plan.id_slots = InfoExtractor::identifier_slots(ik);
   }
 
   expected_index_.reserve(expected_groups_.size());
@@ -185,40 +187,42 @@ AnomalyReport AnomalyDetector::detect(const logparse::Session& session,
   const bool with_evidence = evidence_enabled();
   CoverageLedger* const cov = coverage();
 
-  // Per-record Spell matching, on-the-fly extraction and entity grouping.
+  // Per-record Spell matching, on-the-fly extraction and entity grouping,
+  // in one pass: a record's match hands its tokens and field layout
+  // straight to identifier capture.
   obs::ObsStage scan_stage("detect.scan");
   // Spell key per record (-1: no match). OnlineDetector::consume caches
-  // them in the session; anything else is matched here, once.
-  const std::vector<int>* record_keys = &session.spell_keys;
-  if (session.spell_keys.size() != session.records.size()) {
-    scratch.record_keys.clear();
-    for (const logparse::LogRecord& rec : session.records) {
-      scratch.record_keys.push_back(spell_.match(rec.content));
-    }
-    record_keys = &scratch.record_keys;
-  }
-  for (std::size_t ri = 0; ri < session.records.size(); ++ri) {
+  // them, and their layouts, in the session; anything else is matched
+  // here, once, into scratch.record_keys.
+  const std::size_t n_records = session.records.size();
+  const bool cached = session.spell_keys.size() == n_records;
+  const bool cached_layouts = cached && session.spell_layouts.size() == n_records;
+  if (!cached) scratch.record_keys.clear();
+  for (std::size_t ri = 0; ri < n_records; ++ri) {
     const logparse::LogRecord& rec = session.records[ri];
-    const int key_id = (*record_keys)[ri];
+    int key_id = -1;
+    const logparse::FieldLayout* layout = nullptr;
+    bool tokenized = false;
+    if (cached) {
+      key_id = session.spell_keys[ri];
+      if (cached_layouts) layout = session.spell_layouts[ri];
+    } else {
+      const logparse::Spell::Match m = spell_.match(rec.content, scratch.ws);
+      key_id = m.key;
+      layout = m.layout;
+      tokenized = true;
+      scratch.record_keys.push_back(key_id);
+    }
     if (cov && key_id >= 0) cov->stamp_log_key(key_id);
     if (key_id < 0) {
-      // Unexpected log message: run extraction on the fly (§4.2).
+      // Unexpected log message: run extraction on the fly (§4.2), and
+      // instantiate against the pseudo key it was extracted over.
       UnexpectedMessage u;
       u.record_index = ri;
       u.content = rec.content;
-      u.extracted = extractor_.extract_from_message(rec.content);
-      // Instantiate against the pseudo-key built by extract_from_message.
-      logparse::LogKey pseudo;
-      pseudo.id = -1;
-      for (const auto& tok : common::split_ws(rec.content)) {
-        if (common::has_digit(tok)) {
-          if (pseudo.tokens.empty() || pseudo.tokens.back() != "*")
-            pseudo.tokens.emplace_back("*");
-        } else {
-          pseudo.tokens.push_back(tok);
-        }
-      }
-      u.message = extractor_.instantiate(u.extracted, pseudo, rec, scratch);
+      InfoExtractor::Unexpected x = extractor_.extract_unexpected(rec.content);
+      u.message = extractor_.instantiate(x.intel_key, x.key, rec, scratch);
+      u.extracted = std::move(x.intel_key);
       if (with_evidence) u.evidence = build_unexpected_evidence(session, ri);
       report.unexpected.push_back(std::move(u));
       continue;
@@ -229,23 +233,22 @@ AnomalyReport AnomalyDetector::detect(const logparse::Session& session,
 
     GroupMessage gm;
     gm.key_id = key_id;
-    extractor_.instantiate_identifiers(*plan.intel_key, spell_.key(key_id), rec, scratch,
-                                       gm.ids);
+    if (!plan.id_slots.empty()) {
+      if (!tokenized) common::split_ws_views(rec.content, scratch.ws);
+      gm.ids = InfoExtractor::capture_identifiers(plan.id_slots, spell_.key(key_id), layout,
+                                                  scratch);
+    }
     gm.record_index = ri;
     gm.timestamp_ms = rec.timestamp_ms;
-    for (std::size_t i = 0; i < plan.groups.size(); ++i) {
-      const std::uint32_t g = plan.groups[i];
+    for (const std::uint32_t g : plan.groups) {
       if (!scratch.group_seen[g]) {
         scratch.group_seen[g] = 1;
         scratch.touched_groups.push_back(g);
       }
-      if (i + 1 == plan.groups.size()) {
-        scratch.buckets[g].push_back(std::move(gm));
-      } else {
-        scratch.buckets[g].push_back(gm);
-      }
+      scratch.buckets[g].push_back(gm);
     }
   }
+  const std::vector<int>* record_keys = cached ? &session.spell_keys : &scratch.record_keys;
   std::sort(scratch.touched_groups.begin(), scratch.touched_groups.end());
 
   scan_stage.close();

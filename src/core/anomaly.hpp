@@ -116,8 +116,9 @@ class AnomalyDetector {
 
   /// Delegates to the scratch overload via a thread-local DetectScratch.
   /// A session whose `spell_keys` has one entry per record is not matched
-  /// again: those keys are taken as this model's Spell matches. Any other
-  /// session is matched record by record.
+  /// again: those keys are taken as this model's Spell matches, with the
+  /// field layouts in `spell_layouts` when it is just as complete. Any
+  /// other session is matched record by record.
   AnomalyReport detect(const logparse::Session& session) const;
 
   /// Scratch-threaded detect for batch shards: the caller owns the scratch
@@ -161,6 +162,7 @@ class AnomalyDetector {
   struct KeyPlan {
     const IntelKey* intel_key = nullptr;  ///< null: the key is not routed
     std::vector<std::uint32_t> groups;    ///< target group indices, ascending
+    std::vector<InfoExtractor::IdentifierSlot> id_slots;  ///< views *intel_key
   };
 
   /// The trained subroutine of `group` whose signature is `types`, or null.

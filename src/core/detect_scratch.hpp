@@ -11,9 +11,10 @@
 //    single-session entry points fall back to a thread_local). Never
 //    share one across concurrent detect() calls.
 //  - detect() calls reset_session() on entry: the arena rewinds in O(1)
-//    and its pages are reused for the next session. Nothing handed out
-//    of detect() points into the scratch — field text is copied into the
-//    IntelMessage strings before the report escapes.
+//    and its pages are reused for the next session. The session's
+//    GroupMessages view the arena and the session's records, so they die
+//    with the detect() call; nothing handed out of detect() points into
+//    the scratch — report strings are copies.
 #pragma once
 
 #include <cstddef>
@@ -25,23 +26,19 @@
 
 #include "common/arena.hpp"
 #include "core/subroutine.hpp"
+#include "logparse/field_layout.hpp"
 
 namespace intellog::core {
 
 struct DetectScratch {
-  /// Backing for assembled field texts (align_fields_views output).
+  /// Backing for the session's GroupMessage identifier arrays, inferred
+  /// identifier types and field texts the record does not hold verbatim.
   common::Arena arena;
 
-  // align_fields_views working set, reused record to record.
-  std::vector<std::string_view> ws;        ///< whitespace tokens of the message
-  std::vector<std::string_view> consts;    ///< the key's constant tokens
-  std::vector<std::string_view> lcs_seq;   ///< LCS backtrace output
-  std::vector<std::size_t> dp;             ///< flat (n+1)x(m+1) LCS table
-  std::vector<unsigned char> matched;      ///< per message token: LCS-matched?
-  std::vector<std::pair<std::size_t, std::size_t>> star_groups;  ///< {first_field, stars}
-  std::vector<std::size_t> field_len;      ///< pass-1 byte length per field
-  std::vector<char*> field_ptr;            ///< pass-2 write cursor per field
-  std::vector<std::string_view> fields;    ///< assembled fields (arena bytes)
+  // Extraction working set, reused record to record.
+  std::vector<std::string_view> ws;  ///< whitespace tokens of the message
+  logparse::AlignScratch align;      ///< alignment working vectors
+  logparse::FieldLayout layout;      ///< layout of a record Spell gave none
 
   // Per-group session state, indexed by the detector's compiled group
   // index: the group's messages, whether it appeared, and the groups
@@ -56,11 +53,7 @@ struct DetectScratch {
   // partition_instances working set: "TYPE:value" pairs interned to
   // bucket-local ids through an open-addressing table, posting lists from
   // each id to the instances holding it, and per-instance hit counters.
-  struct InternedId {
-    std::string_view type;
-    std::string_view value;
-  };
-  std::vector<InternedId> interned;          ///< id -> its pair (views into messages)
+  std::vector<IdentifierView> interned;      ///< id -> its pair (the messages' views)
   std::vector<std::uint32_t> intern_slots;   ///< hash slot -> id + 1 (0: empty)
   std::vector<std::uint32_t> msg_values;     ///< one message's sorted-unique ids
   std::vector<std::vector<std::uint32_t>> postings;  ///< id -> instances holding it

@@ -354,6 +354,7 @@ WorkflowView build_workflow_view(const IntelLog& model, const logparse::Session&
   // Intel Key -> entity groups.
   const logparse::Spell& spell = model.spell();
   const auto& intel_keys = model.intel_keys();
+  IdentifierStore ids;  // what group_messages' identifiers view
   std::map<std::string, std::vector<GroupMessage>> group_messages;
   for (std::size_t ri = 0; ri < session.records.size(); ++ri) {
     const logparse::LogRecord& rec = session.records[ri];
@@ -363,10 +364,10 @@ WorkflowView build_workflow_view(const IntelLog& model, const logparse::Session&
     const auto ik_it = intel_keys.find(key_id);
     if (ik_it == intel_keys.end()) continue;
     const IntelKey& ik = ik_it->second;
-    const IntelMessage msg = model.extractor().instantiate(ik, spell.key(key_id), rec);
+    IntelMessage msg = model.extractor().instantiate(ik, spell.key(key_id), rec);
     GroupMessage gm;
     gm.key_id = key_id;
-    gm.ids = msg.identifiers;
+    gm.ids = ids.add(std::move(msg.identifiers));
     gm.record_index = ri;
     gm.timestamp_ms = rec.timestamp_ms;
     std::set<std::string> target_groups;

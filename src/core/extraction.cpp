@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstring>
+#include <memory>
 #include <set>
 
 #include "common/strings.hpp"
@@ -115,158 +115,21 @@ std::string InfoExtractor::infer_id_type(std::string_view value, std::string_vie
 std::vector<std::string> align_fields(const std::vector<std::string>& key_tokens,
                                       const std::vector<std::string>& message_ws_tokens,
                                       std::vector<int>* ws_field_index) {
-  // Star groups: runs of consecutive '*' in the key, each star one field.
-  std::vector<std::string> consts;
-  struct StarGroup {
-    std::size_t first_field;
-    std::size_t stars;
-  };
-  std::vector<StarGroup> groups;
-  std::size_t star_count = 0;
-  for (std::size_t i = 0; i < key_tokens.size(); ++i) {
-    if (key_tokens[i] == "*") {
-      if (i > 0 && key_tokens[i - 1] == "*") {
-        groups.back().stars++;
-      } else {
-        groups.push_back({star_count, 1});
-      }
-      ++star_count;
-    } else {
-      consts.push_back(key_tokens[i]);
-    }
-  }
-  // Matched message positions via the LCS of constants and message.
-  const std::vector<std::string> common_seq = common::lcs(consts, message_ws_tokens);
-  std::vector<bool> matched(message_ws_tokens.size(), false);
-  std::size_t mi = 0;
-  for (const auto& w : common_seq) {
-    while (mi < message_ws_tokens.size() && message_ws_tokens[mi] != w) ++mi;
-    if (mi < message_ws_tokens.size()) matched[mi++] = true;
-  }
-  // Unmatched runs, in order, map onto star groups in order. Within a
-  // group of k stars, the first k-1 fields take one token each and the last
-  // field takes the remainder.
-  std::vector<std::string> fields(star_count);
-  if (ws_field_index) ws_field_index->assign(message_ws_tokens.size(), -1);
-  std::size_t group = 0, offset_in_group = 0;
-  for (std::size_t i = 0; i < message_ws_tokens.size() && star_count > 0; ++i) {
-    if (matched[i]) {
-      if (i > 0 && !matched[i - 1] && group < groups.size()) {
-        ++group;  // a closed run advances to the next star group
-        offset_in_group = 0;
-      }
-      continue;
-    }
-    const StarGroup& g = groups[std::min(group, groups.size() - 1)];
-    const std::size_t field = g.first_field + std::min(offset_in_group, g.stars - 1);
-    if (offset_in_group + 1 < g.stars) ++offset_in_group;
-    std::string& slot = fields[field];
+  const std::vector<std::string_view> tokens(message_ws_tokens.begin(),
+                                             message_ws_tokens.end());
+  logparse::AlignScratch scratch;
+  logparse::FieldLayout layout;
+  layout.assign(key_tokens, tokens, scratch);
+  std::vector<std::string> fields(layout.fields.size());
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const int f = layout.token_field[i];
+    if (f == logparse::FieldLayout::kConstant) continue;
+    std::string& slot = fields[static_cast<std::size_t>(f)];
     if (!slot.empty()) slot += ' ';
-    slot += message_ws_tokens[i];
-    if (ws_field_index) (*ws_field_index)[i] = static_cast<int>(field);
+    slot += tokens[i];
   }
+  if (ws_field_index) *ws_field_index = std::move(layout.token_field);
   return fields;
-}
-
-void align_fields_views(const std::vector<std::string>& key_tokens,
-                        const std::vector<std::string_view>& message_ws_tokens,
-                        DetectScratch& s) {
-  // Star groups and constants, exactly as align_fields builds them.
-  s.consts.clear();
-  s.star_groups.clear();
-  std::size_t star_count = 0;
-  for (std::size_t i = 0; i < key_tokens.size(); ++i) {
-    if (key_tokens[i] == "*") {
-      if (i > 0 && key_tokens[i - 1] == "*") {
-        s.star_groups.back().second++;
-      } else {
-        s.star_groups.push_back({star_count, 1});
-      }
-      ++star_count;
-    } else {
-      s.consts.push_back(key_tokens[i]);
-    }
-  }
-
-  // LCS of constants and message, flat DP table in scratch. The recurrence
-  // and backtrace tie-breaking mirror common::lcs exactly (prefer --i on
-  // ties) so the matched positions — and hence the field split — are
-  // identical to the string path.
-  const std::size_t n = s.consts.size(), m = message_ws_tokens.size();
-  s.dp.assign((n + 1) * (m + 1), 0);
-  const auto dp = [&](std::size_t i, std::size_t j) -> std::size_t& {
-    return s.dp[i * (m + 1) + j];
-  };
-  for (std::size_t i = 1; i <= n; ++i)
-    for (std::size_t j = 1; j <= m; ++j)
-      dp(i, j) = (s.consts[i - 1] == message_ws_tokens[j - 1])
-                     ? dp(i - 1, j - 1) + 1
-                     : std::max(dp(i - 1, j), dp(i, j - 1));
-  s.lcs_seq.clear();
-  {
-    std::size_t i = n, j = m;
-    while (i > 0 && j > 0) {
-      if (s.consts[i - 1] == message_ws_tokens[j - 1]) {
-        s.lcs_seq.push_back(message_ws_tokens[j - 1]);
-        --i;
-        --j;
-      } else if (dp(i - 1, j) >= dp(i, j - 1)) {
-        --i;
-      } else {
-        --j;
-      }
-    }
-    std::reverse(s.lcs_seq.begin(), s.lcs_seq.end());
-  }
-
-  s.matched.assign(m, 0);
-  std::size_t mi = 0;
-  for (const auto& w : s.lcs_seq) {
-    while (mi < m && message_ws_tokens[mi] != w) ++mi;
-    if (mi < m) s.matched[mi++] = 1;
-  }
-
-  s.fields.assign(star_count, std::string_view{});
-  if (star_count == 0) return;
-
-  // Same walk as align_fields, run twice: pass 1 sums byte lengths per
-  // field, pass 2 copies tokens (space-joined) into one arena buffer per
-  // field. Two passes cost one extra walk but zero reallocation.
-  const auto walk = [&](auto&& fn) {
-    std::size_t group = 0, offset_in_group = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (s.matched[i]) {
-        if (i > 0 && !s.matched[i - 1] && group < s.star_groups.size()) {
-          ++group;
-          offset_in_group = 0;
-        }
-        continue;
-      }
-      const auto& g = s.star_groups[std::min(group, s.star_groups.size() - 1)];
-      const std::size_t field = g.first + std::min(offset_in_group, g.second - 1);
-      if (offset_in_group + 1 < g.second) ++offset_in_group;
-      fn(field, message_ws_tokens[i]);
-    }
-  };
-
-  s.field_len.assign(star_count, 0);
-  walk([&](std::size_t field, std::string_view tok) {
-    s.field_len[field] += (s.field_len[field] ? 1 : 0) + tok.size();
-  });
-
-  s.field_ptr.assign(star_count, nullptr);
-  for (std::size_t f = 0; f < star_count; ++f) {
-    if (s.field_len[f] == 0) continue;
-    char* base = static_cast<char*>(s.arena.allocate(s.field_len[f], 1));
-    s.fields[f] = std::string_view(base, s.field_len[f]);
-    s.field_ptr[f] = base;
-  }
-  walk([&](std::size_t field, std::string_view tok) {
-    char*& p = s.field_ptr[field];
-    if (p != s.fields[field].data()) *p++ = ' ';
-    std::memcpy(p, tok.data(), tok.size());
-    p += tok.size();
-  });
 }
 
 struct InfoExtractor::Analysis {
@@ -589,20 +452,21 @@ IntelKey InfoExtractor::extract(const logparse::LogKey& key,
   return ik;
 }
 
-IntelKey InfoExtractor::extract_from_message(std::string_view message) const {
+InfoExtractor::Unexpected InfoExtractor::extract_unexpected(std::string_view message) const {
   PROF_FRAME("extract.unexpected");
   // Build a pseudo log key by masking digit-bearing tokens, then reuse the
   // regular pipeline. Used for unexpected messages in detection (§4.2).
-  logparse::LogKey key;
-  key.id = -1;
+  Unexpected out;
+  out.key.id = -1;
   for (const auto& tok : common::split_ws(message)) {
     if (common::has_digit(tok)) {
-      if (key.tokens.empty() || key.tokens.back() != "*") key.tokens.emplace_back("*");
+      if (out.key.tokens.empty() || out.key.tokens.back() != "*") out.key.tokens.emplace_back("*");
     } else {
-      key.tokens.push_back(tok);
+      out.key.tokens.push_back(tok);
     }
   }
-  return extract(key, message);
+  out.intel_key = extract(out.key, message);
+  return out;
 }
 
 IntelMessage InfoExtractor::instantiate(const IntelKey& ikey, const logparse::LogKey& key,
@@ -615,29 +479,38 @@ IntelMessage InfoExtractor::instantiate(const IntelKey& ikey, const logparse::Lo
   return instantiate(ikey, key, record, scratch);
 }
 
-void InfoExtractor::instantiate_identifiers(const IntelKey& ikey, const logparse::LogKey& key,
-                                            const logparse::LogRecord& record,
-                                            DetectScratch& s,
-                                            std::vector<IdentifierValue>& out) const {
-  PROF_FRAME("extract.instantiate");
-  out.clear();
-  // A key without identifier fields can't produce output: skip the
-  // tokenize/align work its caller would throw away.
-  const auto is_id = [](const FieldInfo& fld) {
-    return fld.category == FieldCategory::Identifier;
-  };
-  if (std::none_of(ikey.fields.begin(), ikey.fields.end(), is_id)) return;
-  common::split_ws_views(record.content, s.ws);
-  align_fields_views(key.tokens, s.ws, s);
-  const std::size_t n = std::min(s.fields.size(), ikey.fields.size());
-  for (std::size_t f = 0; f < n; ++f) {
-    if (ikey.fields[f].category != FieldCategory::Identifier) continue;
-    const std::string_view text = clean_field_view(s.fields[f]);
-    if (text.empty()) continue;
-    std::string type = ikey.fields[f].id_type;
-    if (type.empty()) type = infer_id_type(text, {});
-    out.push_back({std::move(type), std::string(text)});
+std::vector<InfoExtractor::IdentifierSlot> InfoExtractor::identifier_slots(
+    const IntelKey& ikey) {
+  std::vector<IdentifierSlot> slots;
+  for (std::size_t f = 0; f < ikey.fields.size(); ++f) {
+    if (ikey.fields[f].category == FieldCategory::Identifier) {
+      slots.push_back({f, ikey.fields[f].id_type});
+    }
   }
+  return slots;
+}
+
+std::span<const IdentifierView> InfoExtractor::capture_identifiers(
+    std::span<const IdentifierSlot> slots, const logparse::LogKey& key,
+    const logparse::FieldLayout* layout, DetectScratch& s) {
+  PROF_FRAME("extract.instantiate");
+  if (slots.empty()) return {};
+  if (layout == nullptr) {
+    s.layout.assign(key.tokens, s.ws, s.align);
+    layout = &s.layout;
+  }
+  auto* const out = static_cast<IdentifierView*>(
+      s.arena.allocate(slots.size() * sizeof(IdentifierView), alignof(IdentifierView)));
+  std::size_t n = 0;
+  for (const IdentifierSlot& slot : slots) {
+    if (slot.field >= layout->fields.size()) break;  // slots are in field order
+    const std::string_view text = clean_field_view(layout->text(slot.field, s.ws, s.arena));
+    if (text.empty()) continue;
+    const std::string_view type =
+        slot.type.empty() ? s.arena.copy(infer_id_type(text, {})) : slot.type;
+    std::construct_at(out + n++, IdentifierView{type, text});
+  }
+  return {out, n};
 }
 
 IntelMessage InfoExtractor::instantiate(const IntelKey& ikey, const logparse::LogKey& key,
@@ -650,10 +523,10 @@ IntelMessage InfoExtractor::instantiate(const IntelKey& ikey, const logparse::Lo
   msg.container_id = record.container_id;
 
   common::split_ws_views(record.content, s.ws);
-  align_fields_views(key.tokens, s.ws, s);
-  const std::size_t n = std::min(s.fields.size(), ikey.fields.size());
+  s.layout.assign(key.tokens, s.ws, s.align);
+  const std::size_t n = std::min(s.layout.fields.size(), ikey.fields.size());
   for (std::size_t f = 0; f < n; ++f) {
-    const std::string_view text = clean_field_view(s.fields[f]);
+    const std::string_view text = clean_field_view(s.layout.text(f, s.ws, s.arena));
     if (text.empty()) continue;
     switch (ikey.fields[f].category) {
       case FieldCategory::Identifier: {

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,8 +59,16 @@ class InfoExtractor {
   /// matched the key.
   IntelKey extract(const logparse::LogKey& key, std::string_view sample_message) const;
 
+  /// An unexpected message's pseudo log key — its tokens with each run of
+  /// digit-bearing tokens masked to one '*' — and the Intel Key extracted
+  /// over it.
+  struct Unexpected {
+    logparse::LogKey key;
+    IntelKey intel_key;
+  };
+
   /// §4.2: extracts directly from an unexpected message (no log key).
-  IntelKey extract_from_message(std::string_view message) const;
+  Unexpected extract_unexpected(std::string_view message) const;
 
   /// Fills an Intel Message from a concrete record matching `key`.
   /// Delegates to the scratch overload via a thread-local DetectScratch.
@@ -73,14 +82,26 @@ class InfoExtractor {
   IntelMessage instantiate(const IntelKey& ikey, const logparse::LogKey& key,
                            const logparse::LogRecord& record, DetectScratch& scratch) const;
 
-  /// Identifier extraction only, for detection's group-message loop: the
-  /// loop keeps IntelMessage::identifiers and throws the rest away, so
-  /// this skips the container-id copy and the value/locality/other string
-  /// assembly entirely. `out` receives exactly what instantiate() would
-  /// have produced in IntelMessage::identifiers, in the same order.
-  void instantiate_identifiers(const IntelKey& ikey, const logparse::LogKey& key,
-                               const logparse::LogRecord& record, DetectScratch& scratch,
-                               std::vector<IdentifierValue>& out) const;
+  /// One identifier field of an Intel Key, compiled for detection.
+  struct IdentifierSlot {
+    std::size_t field = 0;   ///< index of the key's '*' field
+    std::string_view type;   ///< the field's id_type; empty: inferred per value
+  };
+  /// The identifier slots of `ikey`, in field order. The types view
+  /// `ikey`, which must outlive them.
+  static std::vector<IdentifierSlot> identifier_slots(const IntelKey& ikey);
+
+  /// Detection's identifier extraction: exactly the identifiers
+  /// instantiate() would put in IntelMessage::identifiers, in the same
+  /// order, as views. `scratch.ws` must hold the record's whitespace
+  /// tokens. With a `layout` (Spell's, for the record's shape under `key`)
+  /// the fields are read straight off the tokens; without one the tokens
+  /// are aligned with `key` first. Values view the record content or
+  /// `scratch.arena`, types view the slots or the arena; the returned
+  /// array lives in the arena.
+  static std::span<const IdentifierView> capture_identifiers(
+      std::span<const IdentifierSlot> slots, const logparse::LogKey& key,
+      const logparse::FieldLayout* layout, DetectScratch& scratch);
 
   /// Infers the identifier type of a concrete identifier value
   /// ("attempt_01" -> "ATTEMPT", "3" after "TID" -> "TID").
@@ -104,20 +125,12 @@ class InfoExtractor {
   LocalityMatcher locality_;
 };
 
-/// Splits a message into whitespace tokens and returns, for each '*' gap of
-/// the key (in order), the concatenated message tokens filling that gap.
-/// Shared by extraction and instantiation.
+/// Returns, for each '*' gap of the key (in order), the message's
+/// whitespace tokens filling that gap, joined by single spaces
+/// (logparse::FieldLayout::assign gives the rule). `ws_field_index`
+/// receives each token's field index, -1 for matched constants.
 std::vector<std::string> align_fields(const std::vector<std::string>& key_tokens,
                                       const std::vector<std::string>& message_ws_tokens,
                                       std::vector<int>* ws_field_index = nullptr);
-
-/// Zero-copy align_fields: message tokens arrive as views (split_ws_views)
-/// and the per-field texts land in `scratch.fields` as views into
-/// `scratch.arena` — no per-call vectors, no field strings. Replicates
-/// align_fields (same LCS tie-breaking, same star-group fill) byte for
-/// byte; `scratch.fields` stays valid until the arena is reset.
-void align_fields_views(const std::vector<std::string>& key_tokens,
-                        const std::vector<std::string_view>& message_ws_tokens,
-                        DetectScratch& scratch);
 
 }  // namespace intellog::core

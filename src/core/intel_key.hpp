@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.hpp"
@@ -55,6 +56,14 @@ struct IntelKey {
 struct IdentifierValue {
   std::string type;   ///< e.g. "ATTEMPT"
   std::string value;  ///< e.g. "attempt_01"
+};
+
+/// An identifier occurrence as views: detection's form of IdentifierValue.
+/// The views point at whatever owns the bytes — the model's FieldInfo
+/// id_type, the record's content, or a scratch arena (see GroupMessage).
+struct IdentifierView {
+  std::string_view type;
+  std::string_view value;
 };
 
 /// A concrete message structured by its Intel Key (§3.3).

@@ -1,5 +1,9 @@
 #include "core/intellog.hpp"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <atomic>
 #include <mutex>
@@ -200,6 +204,7 @@ void IntelLog::train(const std::vector<logparse::Session>& sessions) {
   // --- Stage 3b: per-session group sequences, lifespans, subroutines ------
   struct SessionView {
     SessionLifespans spans;
+    IdentifierStore ids;  ///< what group_messages' identifiers view
     std::map<std::string, std::vector<GroupMessage>> group_messages;
   };
   std::vector<SessionView> views(sessions.size());
@@ -215,11 +220,11 @@ void IntelLog::train(const std::vector<logparse::Session>& sessions) {
         if (id < 0 || kv_filter_.is_learned_kv_key(id)) continue;
         const auto kg = key_groups.find(id);
         if (kg == key_groups.end() || kg->second.empty()) continue;
-        const IntelMessage msg =
+        IntelMessage msg =
             extractor_.instantiate(intel_keys_.at(id), spell_.key(id), session.records[ri]);
         GroupMessage gm;
         gm.key_id = id;
-        gm.ids = msg.identifiers;
+        gm.ids = view.ids.add(std::move(msg.identifiers));
         gm.record_index = ri;
         gm.timestamp_ms = session.records[ri].timestamp_ms;
         for (const auto& g : kg->second) {
@@ -255,6 +260,14 @@ void IntelLog::train(const std::vector<logparse::Session>& sessions) {
     }
     builder.finalize(graph_);
   }
+  // Every session's views die here, but glibc keeps the pages it freed in
+  // the pool workers' malloc arenas resident: a process that trains and
+  // keeps running (serve set-up, tests, benchmarks) would go on carrying
+  // the whole training working set. Hand the free pages back.
+  std::vector<SessionView>().swap(views);
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
 
   detector_ = std::make_unique<AnomalyDetector>(spell_, kv_filter_, extractor_, intel_keys_,
                                                 groups_, graph_,

@@ -9,7 +9,6 @@
 #include <string_view>
 
 #include "common/checksum.hpp"
-#include "common/strings.hpp"
 #include "obs/flight/flight.hpp"
 #include "obs/profile/profile.hpp"
 #include "obs/stages.hpp"
@@ -128,11 +127,14 @@ std::optional<OnlineDetector::Event> OnlineDetector::consume(const logparse::Log
   touch(state.session.container_id, state);
 
   std::optional<Event> out;
-  const int key_id = model_.spell().match(record.content);
-  // Cache the match for detect. A restored session starts without keys
-  // and stays stale, so detect re-matches it.
+  const logparse::Spell::Match match = model_.spell().match(record.content, match_tokens_);
+  const int key_id = match.key;
+  // Cache the match, and its field layout, for detect. A restored session
+  // starts without keys and stays stale, so detect re-matches it.
   std::vector<int>& keys = state.session.spell_keys;
   if (keys.size() + 1 == state.session.records.size()) keys.push_back(key_id);
+  std::vector<const logparse::FieldLayout*>& layouts = state.session.spell_layouts;
+  if (layouts.size() + 1 == state.session.records.size()) layouts.push_back(match.layout);
   if (key_id < 0) {
     // Unexpected message: surface immediately with on-the-fly extraction.
     Event event;
@@ -140,18 +142,9 @@ std::optional<OnlineDetector::Event> OnlineDetector::consume(const logparse::Log
     event.record_index = state.session.records.size() - 1;
     event.unexpected.record_index = event.record_index;
     event.unexpected.content = record.content;
-    event.unexpected.extracted = model_.extractor().extract_from_message(record.content);
-    logparse::LogKey pseudo;
-    pseudo.id = -1;
-    for (const auto& tok : common::split_ws(record.content)) {
-      if (common::has_digit(tok)) {
-        if (pseudo.tokens.empty() || pseudo.tokens.back() != "*") pseudo.tokens.emplace_back("*");
-      } else {
-        pseudo.tokens.push_back(tok);
-      }
-    }
-    event.unexpected.message =
-        model_.extractor().instantiate(event.unexpected.extracted, pseudo, record);
+    InfoExtractor::Unexpected x = model_.extractor().extract_unexpected(record.content);
+    event.unexpected.message = model_.extractor().instantiate(x.intel_key, x.key, record);
+    event.unexpected.extracted = std::move(x.intel_key);
     if (tel_.unexpected) tel_.unexpected->add(1);
     out = std::move(event);
   }

@@ -28,6 +28,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.hpp"
@@ -206,6 +207,7 @@ class OnlineDetector {
   std::size_t total_records_ = 0;
   std::vector<AnomalyReport> evicted_;
   std::map<std::string, std::uint64_t> closed_ingress_;  ///< see take_closed_ingress
+  std::vector<std::string_view> match_tokens_;  ///< consume()'s Spell match scratch
   Telemetry tel_;
 };
 

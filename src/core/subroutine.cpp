@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string_view>
-#include <type_traits>
 
 #include "core/detect_scratch.hpp"
 #include "obs/profile/profile.hpp"
@@ -15,17 +14,16 @@ namespace {
 // pairs name the same string even when they split it differently ("A:b",
 // "c" against "A", "b:c"), so hashing, equality and order all run over
 // the joined bytes without building them.
-using InternedId = DetectScratch::InternedId;
 
-std::size_t joined_size(const InternedId& id) { return id.type.size() + 1 + id.value.size(); }
+std::size_t joined_size(const IdentifierView& id) { return id.type.size() + 1 + id.value.size(); }
 
-unsigned char joined_at(const InternedId& id, std::size_t i) {
+unsigned char joined_at(const IdentifierView& id, std::size_t i) {
   if (i < id.type.size()) return static_cast<unsigned char>(id.type[i]);
   if (i == id.type.size()) return ':';
   return static_cast<unsigned char>(id.value[i - id.type.size() - 1]);
 }
 
-std::uint64_t joined_hash(const InternedId& id) {
+std::uint64_t joined_hash(const IdentifierView& id) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a
   const auto mix = [&h](unsigned char c) {
     h ^= c;
@@ -37,7 +35,7 @@ std::uint64_t joined_hash(const InternedId& id) {
   return h;
 }
 
-bool joined_equal(const InternedId& a, const InternedId& b) {
+bool joined_equal(const IdentifierView& a, const IdentifierView& b) {
   if (a.type.size() == b.type.size()) return a.type == b.type && a.value == b.value;
   if (joined_size(a) != joined_size(b)) return false;
   for (std::size_t i = 0; i < joined_size(a); ++i) {
@@ -47,7 +45,7 @@ bool joined_equal(const InternedId& a, const InternedId& b) {
 }
 
 // std::string's operator< on the joined strings (unsigned byte order).
-bool joined_less(const InternedId& a, const InternedId& b) {
+bool joined_less(const IdentifierView& a, const IdentifierView& b) {
   const std::size_t n = std::min(joined_size(a), joined_size(b));
   for (std::size_t i = 0; i < n; ++i) {
     const unsigned char x = joined_at(a, i);
@@ -66,8 +64,7 @@ void reset_interner(DetectScratch& s, std::size_t n_ids) {
   s.intern_slots.assign(cap, 0);
 }
 
-std::uint32_t intern(DetectScratch& s, const IdentifierValue& iv) {
-  const InternedId key{iv.type, iv.value};
+std::uint32_t intern(DetectScratch& s, const IdentifierView& key) {
   const std::size_t mask = s.intern_slots.size() - 1;
   for (std::size_t slot = joined_hash(key) & mask;; slot = (slot + 1) & mask) {
     const std::uint32_t entry = s.intern_slots[slot];
@@ -82,11 +79,9 @@ std::uint32_t intern(DetectScratch& s, const IdentifierValue& iv) {
   }
 }
 
-// Adds `msg`'s identifier types to `inst`'s sorted-unique type views. The
-// message must already sit in inst.messages, whose elements' identifier
-// buffers stay put when the instance or its message vector moves.
+// Adds `msg`'s identifier types to `inst`'s sorted-unique type views.
 void add_types(SubroutineInstance& inst, const GroupMessage& msg) {
-  for (const IdentifierValue& iv : msg.ids) {
+  for (const IdentifierView& iv : msg.ids) {
     const std::string_view t = iv.type;
     const auto it = std::lower_bound(inst.types.begin(), inst.types.end(), t);
     if (it == inst.types.end() || *it != t) inst.types.insert(it, t);
@@ -94,6 +89,15 @@ void add_types(SubroutineInstance& inst, const GroupMessage& msg) {
 }
 
 }  // namespace
+
+std::span<const IdentifierView> IdentifierStore::add(std::vector<IdentifierValue> ids) {
+  if (ids.empty()) return {};
+  Entry& e = entries_.emplace_back();
+  e.values = std::move(ids);
+  e.views.reserve(e.values.size());
+  for (const IdentifierValue& iv : e.values) e.views.push_back({iv.type, iv.value});
+  return e.views;
+}
 
 std::set<int> SubroutineInstance::key_set() const {
   std::set<int> out;
@@ -104,10 +108,6 @@ std::set<int> SubroutineInstance::key_set() const {
 std::size_t partition_instances(std::vector<GroupMessage>&& messages, DetectScratch& s,
                                 bool materialize_strings) {
   PROF_FRAME("detect.partition");
-  // The type views and interned pairs point into identifier buffers that
-  // only a move keeps in place; a copying reallocation would strand them.
-  static_assert(std::is_nothrow_move_constructible_v<SubroutineInstance> &&
-                std::is_nothrow_move_constructible_v<GroupMessage>);
   std::size_t used = 0;
   const auto acquire = [&]() -> SubroutineInstance& {
     if (used == s.instances.size()) s.instances.emplace_back();
@@ -128,7 +128,7 @@ std::size_t partition_instances(std::vector<GroupMessage>&& messages, DetectScra
   for (GroupMessage& msg : messages) {
     // S_v as sorted-unique interned ids.
     s.msg_values.clear();
-    for (const IdentifierValue& iv : msg.ids) s.msg_values.push_back(intern(s, iv));
+    for (const IdentifierView& iv : msg.ids) s.msg_values.push_back(intern(s, iv));
     std::sort(s.msg_values.begin(), s.msg_values.end());
     s.msg_values.erase(std::unique(s.msg_values.begin(), s.msg_values.end()),
                        s.msg_values.end());
@@ -193,7 +193,7 @@ std::size_t partition_instances(std::vector<GroupMessage>&& messages, DetectScra
       });
       inst.id_values.reserve(s.id_order.size());
       for (const std::uint32_t v : s.id_order) {
-        const InternedId& id = s.interned[v];
+        const IdentifierView& id = s.interned[v];
         std::string joined;
         joined.reserve(joined_size(id));
         joined.append(id.type).append(1, ':').append(id.value);

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <set>
 #include <span>
@@ -27,11 +28,32 @@ namespace intellog::core {
 struct DetectScratch;
 
 /// One message of an entity group, reduced to what Algorithm 2 needs.
+/// It owns nothing: `ids` and the strings it views belong to the caller,
+/// and must outlive every partition of the message. Detection keeps them
+/// in the session (record content), the model (identifier types) and its
+/// DetectScratch arena; training and explain keep them in an
+/// IdentifierStore.
 struct GroupMessage {
   int key_id = -1;
-  std::vector<IdentifierValue> ids;  ///< identifiers in the message
-  std::size_t record_index = 0;      ///< index into the session's records
+  std::span<const IdentifierView> ids;  ///< identifiers in the message
+  std::size_t record_index = 0;         ///< index into the session's records
   std::uint64_t timestamp_ms = 0;
+};
+
+/// Keeps IntelMessage identifiers alive, at stable addresses, for the
+/// GroupMessages that view them.
+class IdentifierStore {
+ public:
+  /// Takes ownership of `ids` and returns views of them, valid for the
+  /// store's lifetime.
+  std::span<const IdentifierView> add(std::vector<IdentifierValue> ids);
+
+ private:
+  struct Entry {
+    std::vector<IdentifierValue> values;
+    std::vector<IdentifierView> views;
+  };
+  std::deque<Entry> entries_;  ///< a deque never relocates its elements
 };
 
 /// A subroutine instance: messages bound together by shared identifiers.
@@ -46,9 +68,8 @@ struct SubroutineInstance {
   /// S_v interned: ids local to the partitioned bucket, sorted. Equal ids
   /// mean equal "TYPE:value" strings.
   std::vector<std::uint32_t> value_ids;
-  /// The signature as sorted-unique views into this instance's own
-  /// messages' identifier types (std::set<std::string> order). Moving the
-  /// instance or its messages keeps them valid; copying does not.
+  /// The signature as sorted-unique views of its messages' identifier
+  /// types (std::set<std::string> order), valid as long as those are.
   std::vector<std::string_view> types;
 
   std::set<int> key_set() const;

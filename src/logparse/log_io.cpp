@@ -98,7 +98,7 @@ FileRead read_plain(const std::string& path, std::string_view system) {
       out.skipped = true;
       out.warning = skipped_warning(path);
     }
-    s = Session{container, std::string(system), path, {}, nullptr, {}};
+    s = Session{container, std::string(system), path, {}, nullptr, {}, {}};
     return out;
   }
   auto storage = std::make_shared<SessionStorage>();

@@ -17,6 +17,8 @@
 
 namespace intellog::logparse {
 
+struct FieldLayout;
+
 /// Backing bytes for a session's zero-copy records: the mmap'd source
 /// file plus the one string parse has to synthesize, the container id
 /// (every record's `container_id` views it). Held by shared_ptr, so the
@@ -47,6 +49,10 @@ struct Session {
   /// code that edits `records` must clear it (appending without a key
   /// leaves it stale, which is safe: detection re-matches).
   std::vector<int> spell_keys;
+  /// The field layout Spell returned with each cached key (null: none),
+  /// under the same rule as `spell_keys`. The layouts belong to the model's
+  /// Spell: detect only against the model that consumed the records.
+  std::vector<const FieldLayout*> spell_layouts;
 
   std::size_t length() const { return records.size(); }
 

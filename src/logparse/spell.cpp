@@ -16,6 +16,7 @@ struct Scratch {
   std::vector<std::string_view> tokens;
   std::string shape;
   std::vector<int> token_ids;
+  AlignScratch align;
 };
 
 Scratch& scratch() {
@@ -43,7 +44,9 @@ Spell::Spell(Spell&& other) noexcept
       interner_(std::move(other.interner_)),
       key_const_ids_(std::move(other.key_const_ids_)),
       token_index_(std::move(other.token_index_)),
+      key_layoutable_(std::move(other.key_layoutable_)),
       shape_cache_(std::move(other.shape_cache_)),
+      layouts_built_(other.layouts_built_.load(std::memory_order_relaxed)),
       match_cache_(std::move(other.match_cache_)),
       match_mu_(std::move(other.match_mu_)) {
   other.match_mu_ = std::make_unique<obs::ProfiledMutex>("spell.match_memo");
@@ -56,7 +59,10 @@ Spell& Spell::operator=(Spell&& other) noexcept {
   interner_ = std::move(other.interner_);
   key_const_ids_ = std::move(other.key_const_ids_);
   token_index_ = std::move(other.token_index_);
+  key_layoutable_ = std::move(other.key_layoutable_);
   shape_cache_ = std::move(other.shape_cache_);
+  layouts_built_.store(other.layouts_built_.load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
   match_cache_ = std::move(other.match_cache_);
   match_mu_ = std::move(other.match_mu_);
   other.match_mu_ = std::make_unique<obs::ProfiledMutex>("spell.match_memo");
@@ -69,6 +75,8 @@ void Spell::restore_keys(std::vector<LogKey> keys) {
   token_index_.clear();
   interner_.clear();
   key_const_ids_.clear();
+  key_layoutable_.clear();
+  layouts_built_.store(false, std::memory_order_relaxed);
   {
     std::lock_guard lock(*match_mu_);
     match_cache_.clear();
@@ -99,6 +107,9 @@ void Spell::cache_key_constants(const LogKey& key) {
   if (key_const_ids_.size() <= id) key_const_ids_.resize(id + 1);
   std::vector<int>& const_ids = key_const_ids_[id];
   const_ids.clear();
+  if (key_layoutable_.size() <= id) key_layoutable_.resize(id + 1);
+  key_layoutable_[id] = std::none_of(key.tokens.begin(), key.tokens.end(),
+                                     [](const std::string& t) { return common::has_digit(t); });
   for (const auto& tok : key.tokens) {
     if (tok == "*") continue;
     const int tid = interner_.intern(tok);
@@ -187,8 +198,8 @@ int Spell::consume(std::string_view message) {
   if (s.tokens.empty()) return -1;
   shape_of(s.tokens, s.shape);
   if (const auto it = shape_cache_.find(s.shape); it != shape_cache_.end()) {
-    keys_[static_cast<std::size_t>(it->second)].match_count++;
-    return it->second;
+    keys_[static_cast<std::size_t>(it->second.key)].match_count++;
+    return it->second.key;
   }
 
   // Interned-id view of the message. Unknown tokens (not a constant of any
@@ -211,6 +222,7 @@ int Spell::consume(std::string_view message) {
       // shape entries keep pointing at the same id, which stays valid.
       cache_key_constants(key);
       shape_cache_.emplace(common::join(key.tokens, " "), key.id);
+      flush_layouts();  // the key's layouts align against its old tokens
       std::lock_guard lock(*match_mu_);
       match_cache_.clear();  // memoized verdicts may predate the refine
     }
@@ -232,6 +244,7 @@ int Spell::consume(std::string_view message) {
   keys_.push_back(std::move(key));
   cache_key_constants(keys_.back());
   shape_cache_.emplace(s.shape, keys_.back().id);
+  flush_layouts();  // same rule as the memo below
   {
     std::lock_guard lock(*match_mu_);
     match_cache_.clear();  // a new key can turn memoized misses into hits
@@ -240,35 +253,73 @@ int Spell::consume(std::string_view message) {
 }
 
 int Spell::match(std::string_view message) const {
+  return match(message, scratch().tokens).key;
+}
+
+Spell::Match Spell::match(std::string_view message,
+                          std::vector<std::string_view>& tokens) const {
   PROF_FRAME("spell.match");
   Scratch& s = scratch();
-  common::split_ws_views(message, s.tokens);
-  if (s.tokens.empty()) return -1;
-  shape_of(s.tokens, s.shape);
-  if (const auto it = shape_cache_.find(s.shape); it != shape_cache_.end()) return it->second;
+  common::split_ws_views(message, tokens);
+  if (tokens.empty()) return {};
+  shape_of(tokens, s.shape);
+  if (const auto it = shape_cache_.find(s.shape); it != shape_cache_.end()) {
+    return {it->second.key, layout_of(it->second, tokens)};
+  }
   {
     std::lock_guard lock(*match_mu_);
     if (const auto it = match_cache_.find(s.shape); it != match_cache_.end()) {
-      return it->second;
+      return {it->second, nullptr};
     }
   }
 
   s.token_ids.clear();
-  for (const std::string_view tok : s.tokens) s.token_ids.push_back(interner_.find(tok));
+  for (const std::string_view tok : tokens) s.token_ids.push_back(interner_.find(tok));
   bool exact = false;
-  const int verdict = best_match(s.token_ids, s.tokens.size(), exact);
+  const int verdict = best_match(s.token_ids, tokens.size(), exact);
 
   // Memoize hits *and* misses: repeated detection traffic for shapes never
   // seen in training is the common case under fault injection.
   std::lock_guard lock(*match_mu_);
   if (match_cache_.size() >= kMatchCacheCapacity) match_cache_.clear();
   match_cache_.emplace(s.shape, verdict);
-  return verdict;
+  return {verdict, nullptr};
+}
+
+const FieldLayout* Spell::layout_of(const ShapeEntry& entry,
+                                    const std::vector<std::string_view>& tokens) const {
+  const FieldLayout* layout = entry.layout.load(std::memory_order_acquire);
+  if (layout != nullptr || !key_layoutable_[static_cast<std::size_t>(entry.key)]) return layout;
+  // First use of this entry. Concurrent first users each compile the same
+  // layout; one publishes, the others free theirs and take the winner's.
+  auto fresh = std::make_unique<FieldLayout>();
+  fresh->assign(keys_[static_cast<std::size_t>(entry.key)].tokens, tokens, scratch().align);
+  if (entry.layout.compare_exchange_strong(layout, fresh.get(), std::memory_order_acq_rel,
+                                           std::memory_order_acquire)) {
+    layouts_built_.store(true, std::memory_order_relaxed);
+    return fresh.release();
+  }
+  return layout;
+}
+
+void Spell::flush_layouts() {
+  if (!layouts_built_.exchange(false, std::memory_order_relaxed)) return;
+  for (auto& [shape, entry] : shape_cache_) {
+    delete entry.layout.exchange(nullptr, std::memory_order_relaxed);
+  }
 }
 
 std::size_t Spell::match_cache_size() const {
   std::lock_guard lock(*match_mu_);
   return match_cache_.size();
+}
+
+std::size_t Spell::layout_count() const {
+  std::size_t n = 0;
+  for (const auto& [shape, entry] : shape_cache_) {
+    n += entry.layout.load(std::memory_order_acquire) != nullptr;
+  }
+  return n;
 }
 
 }  // namespace intellog::logparse

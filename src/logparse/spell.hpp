@@ -20,14 +20,21 @@
 //    only on refinement, and
 //  - match() memoizes its verdict (including misses) per shape in a
 //    bounded cache, so repeated detection traffic — even for shapes never
-//    seen in training — resolves in one hash lookup.
+//    seen in training — resolves in one hash lookup, and
+//  - each shape-cache entry carries the FieldLayout of its (key, shape)
+//    pair (field_layout.hpp), compiled on the entry's first match() and
+//    returned with the verdict, so identifier extraction reads fields off
+//    the record's tokens instead of aligning the key again. Layouts are
+//    flushed by the rule that flushes the memo: a refine or a new key.
 //
 // Thread-safety: consume() and restore_keys() mutate and must be
-// serialized. match() is const and safe to call from many threads
-// concurrently (the memo cache takes a lock; everything else is
-// read-only + thread_local scratch).
+// serialized with every other call. match() is const and safe to call
+// from many threads concurrently: the memo cache takes a lock, a layout is
+// published once per entry by compare-and-swap, and everything else is
+// read-only + thread_local scratch.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <mutex>
@@ -37,6 +44,7 @@
 #include <vector>
 
 #include "common/interner.hpp"
+#include "logparse/field_layout.hpp"
 #include "obs/profile/profiled_mutex.hpp"
 
 namespace intellog::logparse {
@@ -69,9 +77,25 @@ class Spell {
   /// Returns the key id.
   int consume(std::string_view message);
 
+  /// A match() verdict and the field layout that goes with it.
+  struct Match {
+    int key = -1;  ///< matched key id, -1: none
+    /// Layout of the message's shape under `key`; owned by the Spell and
+    /// valid until its next consume() or restore_keys(). Null when the
+    /// shape missed the shape cache (memo or LCS verdicts) or when the
+    /// key's constants break the key fact (a restored constant with a
+    /// digit): extract by aligning the key instead.
+    const FieldLayout* layout = nullptr;
+  };
+
   /// Detection-mode matching: returns the best matching key id or -1.
   /// Never creates or refines keys. Thread-safe.
   int match(std::string_view message) const;
+
+  /// match() that also hands back the message's whitespace tokens (in
+  /// `tokens`, which views `message`) and the shape's field layout, so
+  /// extraction needs neither another split nor an alignment.
+  Match match(std::string_view message, std::vector<std::string_view>& tokens) const;
 
   /// Replaces the key set (model deserialization). The shape cache starts
   /// seeded with each key's own shape; match() memoizes everything else.
@@ -89,12 +113,37 @@ class Spell {
 
   /// Entries currently held by the bounded match()-verdict memo.
   std::size_t match_cache_size() const;
+  /// Shape-cache entries whose field layout has been compiled.
+  std::size_t layout_count() const;
   /// Memo capacity; at capacity the cache is reset before inserting
   /// (simple epoch eviction — repeated traffic refills it immediately).
   static constexpr std::size_t kMatchCacheCapacity = 1 << 16;
 
  private:
+  /// A shape-cache entry: the key the shape matches and, once a match()
+  /// has needed it, the shape's field layout (owned by the entry).
+  /// Memory ordering: a layout is fully built before the release half of
+  /// the compare-and-swap that publishes it, and readers load it with
+  /// acquire, so a reader that sees the pointer sees the whole layout.
+  /// Only consume()/restore_keys(), which run with no concurrent match(),
+  /// reset or free it.
+  struct ShapeEntry {
+    explicit ShapeEntry(int k) : key(k) {}
+    ~ShapeEntry() { delete layout.load(std::memory_order_relaxed); }
+    ShapeEntry(const ShapeEntry&) = delete;
+    ShapeEntry& operator=(const ShapeEntry&) = delete;
+
+    int key;
+    mutable std::atomic<const FieldLayout*> layout{nullptr};
+  };
+
   static void shape_of(const std::vector<std::string_view>& tokens, std::string& out);
+  /// The entry's layout, compiled from `tokens` (any message of the
+  /// entry's shape) if no match() has published one yet.
+  const FieldLayout* layout_of(const ShapeEntry& entry,
+                               const std::vector<std::string_view>& tokens) const;
+  /// Frees every compiled layout (after a refine or a new key).
+  void flush_layouts();
   int best_match(const std::vector<int>& token_ids, std::size_t num_tokens, bool& exact) const;
   void refine_key(LogKey& key, const std::vector<std::string>& tokens);
   /// (Re)builds a key's cached constant ids and inverted-index entries.
@@ -111,7 +160,12 @@ class Spell {
   std::vector<std::vector<int>> key_const_ids_;
   /// Constant token id -> key ids containing it (superset after refines).
   std::vector<std::vector<int>> token_index_;
-  std::unordered_map<std::string, int, common::StringHash, std::equal_to<>> shape_cache_;
+  /// Per key: no constant contains a digit (the key fact layouts rely on;
+  /// only a restored key can break it).
+  std::vector<unsigned char> key_layoutable_;
+  std::unordered_map<std::string, ShapeEntry, common::StringHash, std::equal_to<>> shape_cache_;
+  /// Set once any layout is published, so flushing is free until then.
+  mutable std::atomic<bool> layouts_built_{false};
 
   /// Bounded shape -> match() verdict memo (satellite: repeated detect
   /// traffic with unseen shapes). Mutated under match_mu_ from const match().

@@ -27,14 +27,15 @@ namespace intellog::obs {
 
 /// One row per stage. Profiler frames use these pointers (`descend` matches
 /// by pointer, so all translation units share one node per stage); flight
-/// records carry the row index, which the decoder maps back.
+/// records carry the row index, which the decoder maps back, so new rows go
+/// at the end.
 inline constexpr const char* kStageNames[] = {
     "train.pipeline",       "train.spell",        "train.extract",
     "train.group_entities", "train.subroutines",  "train.session_view",
     "train.hwgraph",        "detect.batch",       "detect.batch_shard",
     "detect.session",       "detect.scan",        "detect.hwgraph_check",
     "online.drain",         "online.checkpoint",  "simsys.run_job",
-    "simsys.session_finish",
+    "simsys.session_finish", "serve.tick",        "serve.list_spool",
 };
 inline constexpr std::size_t kStageCount = std::size(kStageNames);
 

@@ -13,6 +13,7 @@
 #include "common/checksum.hpp"
 #include "logparse/log_io.hpp"
 #include "obs/flight/flight.hpp"
+#include "obs/stages.hpp"
 
 namespace intellog::serve {
 
@@ -109,6 +110,7 @@ TenantShard::TenantShard(std::string tenant, std::string spool_dir,
       flight_str_(obs::flight::flight_intern(tenant_)) {}
 
 void TenantShard::list_spool() {
+  OBS_STAGE("serve.list_spool");
   const std::uint64_t gen = ++listings_;
   if (DIR* dir = ::opendir(spool_dir_.c_str())) {
     const int dfd = ::dirfd(dir);
@@ -222,6 +224,7 @@ bool TenantShard::consume_file(const std::string& name, const OpenedFile& file,
 }
 
 TickResult TenantShard::tick() {
+  OBS_STAGE("serve.tick");
   TickResult out;
   out.epoch = epoch_;
   FLIGHT_EVENT_STR(kTenantTick, ticks_++, epoch_, flight_str_);

@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "core/intellog.hpp"
+#include "core/model_io.hpp"
 #include "core/online.hpp"
 #include "obs/metrics.hpp"
 #include "simsys/workload.hpp"
@@ -208,4 +209,23 @@ TEST_F(DetectBatch, OnlineDrainMatchesSerialDetector) {
     }
   }
   EXPECT_EQ(serialize(serial.close_all()), serialize(parallel.close_all()));
+}
+
+TEST_F(DetectBatch, FieldLayoutsBuiltOnFirstUseAcrossShardsAreRaceFree) {
+  // A model fresh from disk holds no field layouts: four shards detecting
+  // at once all compile their first layouts concurrently, often the same
+  // shape's at the same time (one publishes, the rest adopt it). Reports
+  // must equal the serial reference; under ThreadSanitizer (ci.sh tsan)
+  // this is the publication race test.
+  const std::vector<std::string> want = [] {
+    std::vector<core::AnomalyReport> serial;
+    for (const auto& s : *sessions) serial.push_back(il->detect(s));
+    return serialize(serial);
+  }();
+  for (int round = 0; round < 3; ++round) {
+    const core::IntelLog fresh = core::load_model(core::save_model(*il));
+    ASSERT_EQ(fresh.spell().layout_count(), 0u);
+    EXPECT_EQ(serialize(fresh.detect_batch(*sessions, 4)), want) << "round " << round;
+    EXPECT_GT(fresh.spell().layout_count(), 0u);
+  }
 }

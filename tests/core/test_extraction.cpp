@@ -194,8 +194,10 @@ TEST_F(ExtractionTest, AdjacentFieldsStayDistinct) {
 
 TEST_F(ExtractionTest, ExtractFromRawMessage) {
   // §4.2: unexpected messages get the same treatment without a log key.
-  const IntelKey ik =
-      extractor.extract_from_message("Failed to connect to host9:7337");
+  const InfoExtractor::Unexpected x =
+      extractor.extract_unexpected("Failed to connect to host9:7337");
+  EXPECT_EQ(x.key.to_string(), "Failed to connect to *");
+  const IntelKey& ik = x.intel_key;
   EXPECT_TRUE(has_operation(ik, "connect") || has_operation(ik, "fail"));
   ASSERT_EQ(ik.fields.size(), 1u);
   EXPECT_EQ(ik.fields[0].category, FieldCategory::Locality);

@@ -86,7 +86,7 @@ TEST(Robustness, ExtractorOnGarbage) {
   const core::InfoExtractor extractor;
   for (const char* msg : {"", "***", "12 34 56", "____", "a=b=c=d", "///\\\\\\"}) {
     EXPECT_NO_THROW({
-      const auto ik = extractor.extract_from_message(msg);
+      const auto ik = extractor.extract_unexpected(msg);
       (void)ik;
     }) << msg;
   }

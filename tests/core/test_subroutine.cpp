@@ -13,10 +13,16 @@ using namespace intellog::core;
 
 namespace {
 
+/// Owns every test message's identifiers for the whole run.
+IdentifierStore& store() {
+  static IdentifierStore s;
+  return s;
+}
+
 GroupMessage msg(int key, std::vector<IdentifierValue> ids, std::size_t index = 0) {
   GroupMessage m;
   m.key_id = key;
-  m.ids = std::move(ids);
+  m.ids = store().add(std::move(ids));
   m.record_index = index;
   m.timestamp_ms = index * 10;
   return m;
@@ -106,7 +112,7 @@ ReferencePartition reference_partition(const std::vector<GroupMessage>& messages
   SubroutineInstance none;
   for (const GroupMessage& m : messages) {
     std::set<std::string> sv;
-    for (const auto& iv : m.ids) sv.insert(iv.type + ":" + iv.value);
+    for (const auto& iv : m.ids) sv.insert(std::string(iv.type) + ":" + std::string(iv.value));
     if (sv.empty()) {
       none.messages.push_back(m);
       continue;
@@ -120,7 +126,7 @@ ReferencePartition reference_partition(const std::vector<GroupMessage>& messages
       (sub ? out.subset_merges : out.superset_merges)++;
       have.insert(sv.begin(), sv.end());
       inst.id_values.assign(have.begin(), have.end());
-      for (const auto& iv : m.ids) inst.signature.insert(iv.type);
+      for (const auto& iv : m.ids) inst.signature.emplace(iv.type);
       inst.messages.push_back(m);
       placed = true;
       break;
@@ -128,7 +134,7 @@ ReferencePartition reference_partition(const std::vector<GroupMessage>& messages
     if (!placed) {
       SubroutineInstance inst;
       inst.id_values.assign(sv.begin(), sv.end());
-      for (const auto& iv : m.ids) inst.signature.insert(iv.type);
+      for (const auto& iv : m.ids) inst.signature.emplace(iv.type);
       inst.messages.push_back(m);
       out.instances.push_back(std::move(inst));
     }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 
 using intellog::logparse::Spell;
 
@@ -197,3 +198,135 @@ TEST_P(SpellStability, RepeatedConsumeIsIdempotent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SpellStability, ::testing::Range(0, 10));
+
+// --- field layouts ------------------------------------------------------------
+
+namespace {
+
+using intellog::logparse::FieldLayout;
+using intellog::logparse::LogKey;
+
+std::vector<std::string_view> tokens_of(std::string_view message) {
+  std::vector<std::string_view> out;
+  intellog::common::split_ws_views(message, out);
+  return out;
+}
+
+}  // namespace
+
+TEST(SpellLayout, ShapeHitReturnsTokensAndOneLayoutPerShape) {
+  Spell spell;
+  spell.consume("read 2264 bytes from map-output for attempt_01");
+  std::vector<std::string_view> tokens;
+  const std::string a = "read 512 bytes from map-output for attempt_07";
+  const Spell::Match m = spell.match(a, tokens);
+  EXPECT_EQ(m.key, 0);
+  ASSERT_NE(m.layout, nullptr);
+  EXPECT_EQ(tokens, tokens_of(a));
+  EXPECT_EQ(m.layout->token_field, (std::vector<int>{-1, 0, -1, -1, -1, -1, 1}));
+  ASSERT_EQ(m.layout->fields.size(), 2u);
+  // Same shape, other values: the same compiled layout, no new entry.
+  const Spell::Match again = spell.match("read 9 bytes from map-output for attempt_3", tokens);
+  EXPECT_EQ(again.layout, m.layout);
+  EXPECT_EQ(spell.layout_count(), 1u);
+  EXPECT_EQ(spell.match(a), 0);
+}
+
+TEST(SpellLayout, MemoAndLcsVerdictsCarryNoLayout) {
+  Spell spell;
+  spell.consume("Task attempt attempt_1 transitioned from state ASSIGNED to RUNNING now");
+  std::vector<std::string_view> tokens;
+  // An unseen shape of the key: resolved by LCS, then by the memo.
+  const std::string msg = "Task attempt attempt_1 transitioned from state ASSIGNED to KILLED now";
+  for (int i = 0; i < 2; ++i) {
+    const Spell::Match m = spell.match(msg, tokens);
+    EXPECT_EQ(m.key, 0);
+    EXPECT_EQ(m.layout, nullptr);
+    EXPECT_EQ(tokens.size(), 10u);
+  }
+  EXPECT_EQ(spell.match("completely unrelated words here", tokens).layout, nullptr);
+}
+
+TEST(SpellLayout, RefineAndNewKeyFlushLayouts) {
+  Spell spell;
+  spell.consume("Task attempt attempt_1 transitioned from state ASSIGNED to RUNNING");
+  std::vector<std::string_view> tokens;
+  const std::string shape_a =
+      "Task attempt attempt_2 transitioned from state ASSIGNED to RUNNING";
+  const Spell::Match before = spell.match(shape_a, tokens);
+  ASSERT_NE(before.layout, nullptr);
+  EXPECT_EQ(before.layout->fields.size(), 1u);
+  EXPECT_EQ(spell.layout_count(), 1u);
+
+  // A refine widens the key ("ASSIGNED" becomes a field): the old layout
+  // aligned against the old tokens, so it goes.
+  spell.consume("Task attempt attempt_3 transitioned from state NEW to RUNNING");
+  EXPECT_EQ(spell.key(0).to_string(), "Task attempt * transitioned from state * to RUNNING");
+  EXPECT_EQ(spell.layout_count(), 0u);
+  const Spell::Match after = spell.match(shape_a, tokens);
+  ASSERT_NE(after.layout, nullptr);
+  EXPECT_EQ(after.layout->fields.size(), 2u);
+  EXPECT_EQ(after.layout->token_field[6], 1);  // "ASSIGNED" now fills field 1
+
+  // A new key flushes too (the memo's rule).
+  spell.consume("Shutdown hook called");
+  EXPECT_EQ(spell.layout_count(), 0u);
+  EXPECT_NE(spell.match(shape_a, tokens).layout, nullptr);
+}
+
+TEST(SpellLayout, RestoredKeyWithDigitConstantGetsNoLayout) {
+  // A digit-bearing constant breaks the key fact (shapes mask it), so the
+  // key's shapes fall back to aligning per record.
+  Spell spell;
+  LogKey v2;
+  v2.id = 0;
+  v2.tokens = {"protocol", "v2", "session", "*", "opened"};
+  LogKey plain;
+  plain.id = 1;
+  plain.tokens = {"session", "*", "closed"};
+  spell.restore_keys({v2, plain});
+  std::vector<std::string_view> tokens;
+  const Spell::Match broken = spell.match("protocol v2 session * opened", tokens);
+  EXPECT_EQ(broken.key, 0);
+  EXPECT_EQ(broken.layout, nullptr);
+  const Spell::Match ok = spell.match("session * closed", tokens);
+  EXPECT_EQ(ok.key, 1);
+  EXPECT_NE(ok.layout, nullptr);
+}
+
+TEST(FieldLayout, TextViewsSingleSpacedRunsAndJoinsTheRest) {
+  intellog::common::Arena arena;
+  intellog::logparse::AlignScratch scratch;
+  FieldLayout layout;
+  const std::vector<std::string> key = {"stop", "*", "now", "*"};
+
+  const std::string spaced = "stop alpha beta now x";
+  auto tokens = tokens_of(spaced);
+  layout.assign(key, tokens, scratch);
+  const std::string_view f0 = layout.text(0, tokens, arena);
+  EXPECT_EQ(f0, "alpha beta");
+  EXPECT_EQ(f0.data(), spaced.data() + 5);  // a view of the message itself
+  EXPECT_EQ(arena.bytes_used(), 0u);
+
+  for (const std::string msg : {"stop alpha\tbeta now x", "stop alpha  beta now x"}) {
+    tokens = tokens_of(msg);
+    layout.assign(key, tokens, scratch);
+    EXPECT_EQ(layout.text(0, tokens, arena), "alpha beta") << msg;
+  }
+
+  // More unmatched runs than star groups: the last field takes tokens that
+  // a constant separates, joined with one space.
+  const std::vector<std::string> short_key = {"stop", "*", "now"};
+  const std::string msg = "stop a now b c";
+  tokens = tokens_of(msg);
+  layout.assign(short_key, tokens, scratch);
+  EXPECT_EQ(layout.token_field, (std::vector<int>{-1, 0, -1, 0, 0}));
+  EXPECT_EQ(layout.text(0, tokens, arena), "a b c");
+
+  // Groups advance only past an unmatched run, so with the first run
+  // missing "x" fills field 0 and field 1 is an empty view.
+  tokens = tokens_of("stop now x");
+  layout.assign(key, tokens, scratch);
+  EXPECT_EQ(layout.text(0, tokens, arena), "x");
+  EXPECT_TRUE(layout.text(1, tokens, arena).empty());
+}

@@ -50,7 +50,10 @@ and — for the CI crash drill — reason "signal" with signo 11.
 `stages <trace.json> <prof.pprof.json> [stage...]` mode checks a `--trace`
 file against the `--profile` of the same run: every stage B has its E on
 its track, every traced stage is a profiler frame name with enters >= 1,
-and each listed stage appears.
+each listed stage appears, and a stage that only runs inside another
+(serve.list_spool inside serve.tick) opens inside it on its track. A
+serve run lists serve.tick and serve.list_spool, its once-per-tick
+stages.
 
 "Strict" means: the whole file must be one JSON document (json.loads over
 the full text rejects trailing garbage), every entity-group track must
@@ -684,6 +687,8 @@ def stages_main(argv):
         fail("usage: validate_observatory.py stages <trace.json> "
              "<prof.pprof.json> [stage...]")
     trace_path, pprof_path, required = argv[1], argv[2], argv[3:]
+    # Stages that run only inside another stage: child -> its parent.
+    parent_of = {"serve.list_spool": "serve.tick"}
     doc = load_strict(trace_path)
     if doc.get("displayTimeUnit") != "ms":
         fail(f"{trace_path}: missing displayTimeUnit")
@@ -695,6 +700,10 @@ def stages_main(argv):
         name = e.get("name")
         stack = open_by_track.setdefault((e.get("pid"), e.get("tid")), [])
         if e["ph"] == "B":
+            parent = parent_of.get(name)
+            if parent is not None and parent not in stack:
+                fail(f"{trace_path}: {name!r} on track {e.get('tid')} opens outside "
+                     f"{parent!r}")
             stack.append(name)
         elif stack and stack[-1] == name:
             stack.pop()
