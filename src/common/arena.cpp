@@ -178,6 +178,10 @@ void Arena::reset() {
       const std::size_t used =
           i < page_index_ ? PagePool::kPageSize : (i == page_index_ ? cur_used_ : 0);
       if (used == 0) continue;
+      // allocate() unpoisons only the bytes it hands out, so alignment gaps
+      // (and the tail of a granule a short allocation shares) are still
+      // poisoned from the last reset.
+      shadow_unpoison(pages_[i], used);
       std::memset(pages_[i], 0xCD, used);
       shadow_poison(pages_[i], used);
     }

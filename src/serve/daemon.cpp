@@ -29,10 +29,18 @@ namespace {
 
 obs::Labels tenant_labels(const std::string& tenant) { return {{"tenant", tenant}}; }
 
-void append_jsonl(const std::string& path, const common::Json& line) {
-  std::ofstream out(path, std::ios::app);
-  if (out) out << line.dump() << "\n";
+/// Appends one JSON line per item to the tenant ledger `name`, through a
+/// single open of the file.
+template <class Items, class ToJson>
+void append_jsonl(const std::string& tenant_dir, const char* name, const Items& items,
+                  ToJson to_json) {
+  if (items.empty()) return;
+  std::ofstream out(fs::path(tenant_dir) / name, std::ios::app);
+  if (!out) return;
+  for (const auto& item : items) out << to_json(item).dump() << "\n";
 }
+
+common::Json report_to_json(const core::AnomalyReport& r) { return r.to_json(); }
 
 common::Json quarantine_to_json(const logparse::QuarantinedLine& q) {
   common::Json j = common::Json::object();
@@ -179,6 +187,9 @@ ServeDaemon::ServeDaemon(ServeOptions options) : options_(std::move(options)) {
                   "whole spool files shed to the quarantine ledger (backpressure)");
     reg->describe("intellog_serve_bytes_shed_total", "bytes shed with those files");
     reg->describe("intellog_serve_breaker_trips_total", "tenant circuit-breaker trips");
+    reg->describe("intellog_serve_spool_listings_total",
+                  "spool directory listings per tenant (a tenant with a backlog lists "
+                  "only when a spool name arrived or left)");
     reg->describe("intellog_serve_shard_restarts_total",
                   "wedged shards replaced by the heartbeat watchdog");
     reg->describe("intellog_serve_checkpoints_total", "tenant checkpoints written");
@@ -194,6 +205,9 @@ ServeDaemon::ServeDaemon(ServeOptions options) : options_(std::move(options)) {
     reg->describe("intellog_serve_e2e_latency_ms",
                   "end-to-end session latency per tenant: spool-file arrival "
                   "(mtime) to report-ledger write");
+    for (const auto& ts : tenants_) {
+      reg->counter("intellog_serve_spool_listings_total", tenant_labels(ts->name));
+    }
   }
 
   start_ns_ = obs::monotonic_ns();
@@ -240,15 +254,9 @@ void ServeDaemon::write_checkpoint(TenantState& ts) {
 void ServeDaemon::apply_result(TenantState& ts, TickResult r) {
   if (r.epoch != ts.epoch) return;  // stale result from an orphaned incarnation
 
-  for (const auto& rep : r.reports) {
-    append_jsonl((fs::path(ts.dir) / ".reports.jsonl").string(), rep.to_json());
-  }
-  for (const auto& s : r.shed) {
-    append_jsonl((fs::path(ts.dir) / ".shed.jsonl").string(), s.to_json());
-  }
-  for (const auto& q : r.quarantined) {
-    append_jsonl((fs::path(ts.dir) / ".quarantine.jsonl").string(), quarantine_to_json(q));
-  }
+  append_jsonl(ts.dir, ".reports.jsonl", r.reports, report_to_json);
+  append_jsonl(ts.dir, ".shed.jsonl", r.shed, [](const ShedRecord& s) { return s.to_json(); });
+  append_jsonl(ts.dir, ".quarantine.jsonl", r.quarantined, quarantine_to_json);
 
   ts.pending_files = r.pending_files;
   ts.pending_bytes = r.pending_bytes;
@@ -265,6 +273,7 @@ void ServeDaemon::apply_result(TenantState& ts, TickResult r) {
     for (const auto& s : r.shed) shed_bytes += s.bytes;
     reg->counter("intellog_serve_bytes_shed_total", labels).add(shed_bytes);
     if (r.breaker_tripped) reg->counter("intellog_serve_breaker_trips_total", labels).add(1);
+    if (r.listed) reg->counter("intellog_serve_spool_listings_total", labels).add(1);
     reg->gauge("intellog_serve_pending_files", labels)
         .set(static_cast<double>(r.pending_files));
     reg->gauge("intellog_serve_pending_bytes", labels)
@@ -383,6 +392,10 @@ ServeSummary ServeDaemon::run() {
   common::ThreadPool pool(std::max<std::size_t>(1, options_.jobs));
   obs::MetricsRegistry* reg = obs::registry();
   bool drain = false;
+  // Every watch is in place before the first tick, and every shard lists
+  // on its first tick, so no arrival falls between the two.
+  watch_ = std::make_unique<SpoolWatch>();
+  for (const auto& ts : tenants_) watch_->add(ts->dir);
 
   while (true) {
     // Reap orphans whose wedged tasks finally returned; their results are
@@ -403,14 +416,19 @@ ServeSummary ServeDaemon::run() {
     };
     std::vector<InFlight> inflight;
     inflight.reserve(tenants_.size());
-    for (auto& tsp : tenants_) {
-      TenantShard* shard = tsp->shard.get();
+    // Drained here, on the daemon thread, before any shard runs: a change
+    // that lands after this drain stays queued for the next tick.
+    const std::vector<bool> changed = watch_->take_changes();
+    for (std::size_t i = 0; i < tenants_.size(); ++i) {
+      TenantShard* shard = tenants_[i]->shard.get();
       auto hook = options_.fault_hook;
-      std::string name = tsp->name;
-      inflight.push_back({tsp.get(), pool.submit([shard, hook, name, tick_no] {
-                            if (hook) hook(name, tick_no);
-                            return shard->tick();
-                          })});
+      std::string name = tenants_[i]->name;
+      const bool spool_changed = changed[i];
+      inflight.push_back(
+          {tenants_[i].get(), pool.submit([shard, hook, name, tick_no, spool_changed] {
+             if (hook) hook(name, tick_no);
+             return shard->tick(spool_changed);
+           })});
     }
 
     std::size_t admitted = 0;
@@ -515,12 +533,10 @@ ServeSummary ServeDaemon::run() {
     obs::flight::ScopedFlightDump drain_dump(obs::flight::DumpReason::kGracefulDrain);
     std::uint64_t drained_sessions = 0;
     for (auto& ts : tenants_) {
-      for (const auto& rep : ts->shard->close_all()) {
-        ++drained_sessions;
-        if (rep.anomalous()) {
-          append_jsonl((fs::path(ts->dir) / ".reports.jsonl").string(), rep.to_json());
-        }
-      }
+      std::vector<core::AnomalyReport> reports = ts->shard->close_all();
+      drained_sessions += reports.size();
+      std::erase_if(reports, [](const core::AnomalyReport& rep) { return !rep.anomalous(); });
+      append_jsonl(ts->dir, ".reports.jsonl", reports, report_to_json);
       if (reg) {
         // Sessions force-closed by the drain still get their end-to-end
         // observation — their reports were just written above.

@@ -6,6 +6,9 @@
 // the pool, waits with a per-shard heartbeat deadline, and applies the
 // results on the daemon thread (ledger appends, metrics, checkpoints,
 // status) — shards never touch the filesystem for writes themselves.
+// Before it submits a tick, the daemon thread drains the SpoolWatch and
+// tells each shard whether its spool changed, so a shard with a backlog
+// lists its directory only when a spool name arrived or left.
 //
 // Wedged-shard recovery: a tick that misses its heartbeat deadline is
 // abandoned — the shard instance and its still-running future move to an
@@ -25,9 +28,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "core/intellog.hpp"
+#include "serve/spool_watch.hpp"
 #include "serve/tenant.hpp"
 
 namespace intellog::serve {
@@ -125,6 +130,11 @@ class ServeDaemon {
   ServeOptions options_;
   std::map<std::string, std::unique_ptr<core::IntelLog>> models_;  ///< by path
   std::vector<std::unique_ptr<TenantState>> tenants_;
+  /// Slot i watches tenants_[i]'s directory. Opened by run(), closed by
+  /// the destructor: closing an inotify instance can take tens of
+  /// milliseconds, which neither a daemon that never runs nor the end of
+  /// run() should wait for.
+  std::unique_ptr<SpoolWatch> watch_;
   std::vector<std::unique_ptr<Orphan>> orphans_;
   ServeSummary summary_;
   std::uint64_t last_metrics_ns_ = 0;

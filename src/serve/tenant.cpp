@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <filesystem>
 #include <optional>
@@ -36,15 +37,13 @@ std::uint64_t mtime_unix_ms(const struct ::stat& st) {
          static_cast<std::uint64_t>(st.st_mtim.tv_nsec) / 1000000u;
 }
 
-// Dotfiles are the daemon's own artifacts (checkpoint, ledgers), and
-// anything not *.log is a producer temp file not yet renamed in.
+}  // namespace
+
 bool is_spool_name(std::string_view name) {
   constexpr std::string_view kExt = ".log";
   return name.size() > kExt.size() && name[0] != '.' &&
          name.substr(name.size() - kExt.size()) == kExt;
 }
-
-}  // namespace
 
 std::string_view to_string(BreakerState s) {
   switch (s) {
@@ -112,9 +111,18 @@ TenantShard::TenantShard(std::string tenant, std::string spool_dir,
 void TenantShard::list_spool() {
   OBS_STAGE("serve.list_spool");
   const std::uint64_t gen = ++listings_;
+  relist_ = false;
+  std::size_t done_seen = 0;
+  bool complete = false;
   if (DIR* dir = ::opendir(spool_dir_.c_str())) {
     const int dfd = ::dirfd(dir);
-    while (const ::dirent* de = ::readdir(dir)) {
+    while (true) {
+      errno = 0;  // readdir reports an error only through errno
+      const ::dirent* de = ::readdir(dir);
+      if (de == nullptr) {
+        complete = errno == 0;
+        break;
+      }
       const std::string_view name(de->d_name);
       if (!is_spool_name(name)) continue;
       if (de->d_type != DT_REG && de->d_type != DT_LNK && de->d_type != DT_UNKNOWN) continue;
@@ -126,17 +134,45 @@ void TenantShard::list_spool() {
       }
       // Indexed names are never in the done-set, so only a new name needs
       // the lookup.
-      if (it == spool_.end() && done_.find(name) != done_.end()) continue;
+      if (it == spool_.end()) {
+        if (const auto d = done_.find(name); d != done_.end()) {
+          d->second = gen;
+          ++done_seen;
+          continue;
+        }
+      }
       struct ::stat st {};
       if (::fstatat(dfd, de->d_name, &st, 0) != 0 || !S_ISREG(st.st_mode)) continue;
       if (it == spool_.end()) it = spool_.emplace(std::string(name), SpoolEntry{}).first;
-      it->second = SpoolEntry{ino, static_cast<std::uint64_t>(st.st_size), gen};
+      it->second.ino = ino;
+      it->second.listed = gen;
+      measure(it, static_cast<std::uint64_t>(st.st_size));
     }
     ::closedir(dir);
   }
   for (auto it = spool_.begin(); it != spool_.end();) {
-    it = it->second.listed == gen ? std::next(it) : spool_.erase(it);
+    it = it->second.listed == gen ? std::next(it) : unindex(it);
   }
+  // A finished name the whole listing did not see has left the spool; if
+  // it comes back it is a new file. A listing cut short proves nothing.
+  if (complete && done_seen != done_.size()) {
+    for (auto it = done_.begin(); it != done_.end();) {
+      it = it->second == gen ? std::next(it) : done_.erase(it);
+    }
+  }
+}
+
+void TenantShard::measure(SpoolIndex::iterator it, std::uint64_t bytes) {
+  const std::uint64_t cap = options_.quotas.max_file_bytes;
+  spool_bytes_ = spool_bytes_ - it->second.bytes + bytes;
+  if (it->second.bytes > cap) --spool_oversized_;
+  if (bytes > cap) ++spool_oversized_;
+  it->second.bytes = bytes;
+}
+
+TenantShard::SpoolIndex::iterator TenantShard::unindex(SpoolIndex::iterator it) {
+  measure(it, 0);
+  return spool_.erase(it);
 }
 
 std::string TenantShard::spool_path(const std::string& name) const {
@@ -168,7 +204,7 @@ bool TenantShard::consume_file(const std::string& name, const OpenedFile& file,
         out.reports.push_back(std::move(*report));
       }
     }
-    done_.insert(name);
+    done_.emplace(name, listings_);
     cursors_.erase(name);
     return true;
   };
@@ -223,16 +259,20 @@ bool TenantShard::consume_file(const std::string& name, const OpenedFile& file,
   return false;
 }
 
-TickResult TenantShard::tick() {
+TickResult TenantShard::tick(bool spool_changed) {
   OBS_STAGE("serve.tick");
   TickResult out;
   out.epoch = epoch_;
   FLIGHT_EVENT_STR(kTenantTick, ticks_++, epoch_, flight_str_);
 
-  list_spool();
+  // An index that holds less than one tick's admission is relisted every
+  // tick whatever the caller saw: that bounds how late a change the caller
+  // missed (a filesystem that reports nothing) can be noticed.
+  out.listed = spool_changed || relist_ || spool_.size() < options_.quotas.max_files_per_tick;
+  if (out.listed) list_spool();
   const auto count_pending = [&] {
     out.pending_files = spool_.size();
-    for (const auto& [name, entry] : spool_) out.pending_bytes += entry.bytes;
+    out.pending_bytes = spool_bytes_;
   };
 
   if (breaker_state_ == BreakerState::Open) {
@@ -254,28 +294,27 @@ TickResult TenantShard::tick() {
     ++out.files_shed;
     ++accounting_.files_shed;
     accounting_.bytes_shed += bytes;
-    done_.insert(it->first);
+    done_.emplace(it->first, listings_);
     cursors_.erase(it->first);
     FLIGHT_EVENT_STR(kTenantShed, out.files_shed, bytes, flight_str_);
-    return spool_.erase(it);
+    return unindex(it);
   };
-  std::uint64_t backlog_bytes = 0;
-  for (auto it = spool_.begin(); it != spool_.end();) {
+  // Only an entry measured over the cap is a parse bomb, and the index
+  // counts those, so the walk runs only while one is left to shed.
+  for (auto it = spool_.begin(); spool_oversized_ != 0 && it != spool_.end();) {
     if (it->second.bytes > options_.quotas.max_file_bytes) {
       it = shed_file(it, "parse-bomb");
       parse_bomb = true;
-      continue;
+    } else {
+      ++it;
     }
-    backlog_bytes += it->second.bytes;
-    ++it;
   }
   // Backlog overflow sheds oldest-first (freshest data keeps flowing), but
   // never a file already mid-consumption.
   while (!spool_.empty() && (spool_.size() > options_.quotas.max_backlog_files ||
-                             backlog_bytes > options_.quotas.max_backlog_bytes)) {
+                             spool_bytes_ > options_.quotas.max_backlog_bytes)) {
     const auto oldest = spool_.begin();
     if (cursors_.find(oldest->first) != cursors_.end()) break;  // in flight: keep
-    backlog_bytes -= oldest->second.bytes;
     shed_file(oldest, spool_.size() > options_.quotas.max_backlog_files ? "backlog-files"
                                                                          : "backlog-bytes");
   }
@@ -291,10 +330,10 @@ TickResult TenantShard::tick() {
     OpenedFile file{spool_path(it->first)};
     struct ::stat st {};
     if (::stat(file.path.c_str(), &st) != 0 || !S_ISREG(st.st_mode)) {
-      it = spool_.erase(it);
+      it = unindex(it);
       continue;
     }
-    it->second.bytes = static_cast<std::uint64_t>(st.st_size);
+    measure(it, static_cast<std::uint64_t>(st.st_size));
     if (it->second.bytes > options_.quotas.max_file_bytes) {
       it = shed_file(it, "parse-bomb");
       parse_bomb = true;
@@ -303,7 +342,7 @@ TickResult TenantShard::tick() {
     file.bytes = it->second.bytes;
     file.mtime_unix_ms = mtime_unix_ms(st);
     const bool finished = consume_file(it->first, file, record_budget, out);
-    it = finished ? spool_.erase(it) : std::next(it);
+    it = finished ? unindex(it) : std::next(it);
     ++files_opened;
     if (breaker_state_ == BreakerState::HalfOpen) break;  // one probe file
   }
@@ -360,7 +399,7 @@ common::Json TenantShard::checkpoint() const {
   for (const auto& [name, at] : cursors_) cursors[name] = static_cast<std::int64_t>(at);
   doc["cursors"] = std::move(cursors);
   common::Json done = common::Json::array();
-  for (const auto& name : done_) done.push_back(name);
+  for (const auto& [name, listed] : done_) done.push_back(name);
   doc["done"] = std::move(done);
   doc["accounting"] = accounting_.to_json();
   common::Json breaker = common::Json::object();
@@ -390,7 +429,7 @@ void TenantShard::restore(const common::Json& doc) {
   // Parse everything into locals first so a malformed document cannot
   // leave the shard half-restored.
   std::map<std::string, std::uint64_t> cursors;
-  std::set<std::string, std::less<>> done;
+  std::map<std::string, std::uint64_t, std::less<>> done;
   TenantAccounting accounting;
   BreakerState breaker_state = BreakerState::Closed;
   std::uint64_t breaker_open_left = 0;
@@ -399,7 +438,7 @@ void TenantShard::restore(const common::Json& doc) {
     for (const auto& [name, at] : doc["cursors"].as_object()) {
       cursors[name] = static_cast<std::uint64_t>(at.as_int());
     }
-    for (const auto& name : doc["done"].as_array()) done.insert(name.as_string());
+    for (const auto& name : doc["done"].as_array()) done.emplace(name.as_string(), 0);
     accounting = TenantAccounting::from_json(doc["accounting"]);
     const std::string state = doc["breaker"]["state"].as_string();
     breaker_state = state == "open"        ? BreakerState::Open
@@ -418,6 +457,9 @@ void TenantShard::restore(const common::Json& doc) {
   breaker_open_left_ = breaker_open_left;
   online_ = std::move(online);
   spool_.clear();  // rebuilt by the next listing against the restored done-set
+  spool_bytes_ = 0;
+  spool_oversized_ = 0;
+  relist_ = true;
 }
 
 }  // namespace intellog::serve

@@ -19,7 +19,9 @@
 //    while the breaker is open.
 //  - Checkpoint/restore: cursor map + done-set + accounting + breaker state
 //    + the detector checkpoint in one CRC32-stamped document, written with
-//    atomic rename. A killed daemon resumes with no double-counted
+//    atomic rename. The done-set holds only names the last complete spool
+//    listing still saw, so a name that left the spool and comes back is a
+//    new file. A killed daemon resumes with no double-counted
 //    sessions; a corrupt checkpoint is renamed aside and counted, never
 //    trusted.
 //
@@ -34,8 +36,8 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.hpp"
@@ -43,6 +45,11 @@
 #include "logparse/session.hpp"
 
 namespace intellog::serve {
+
+/// True for a name a producer spools: `*.log`, not a dotfile. Dotfiles are
+/// the daemon's own artifacts (checkpoint, ledgers), and anything not
+/// `*.log` is a producer temp file not yet renamed in.
+bool is_spool_name(std::string_view name);
 
 /// Per-tenant admission and backlog quotas. Defaults are sized for the
 /// soak/test scale; the daemon scales them via CLI flags.
@@ -108,6 +115,7 @@ struct TickResult {
   std::vector<logparse::QuarantinedLine> quarantined;  ///< quarantine ledger entries
   std::size_t pending_files = 0;             ///< backlog remaining after the tick
   std::uint64_t pending_bytes = 0;
+  bool listed = false;                       ///< the tick read the spool directory
   /// Arrival stamps (container id -> spool-file mtime, unix ms) of every
   /// session closed this tick — the daemon turns these into end-to-end
   /// latency observations at ledger-write time.
@@ -132,7 +140,14 @@ class TenantShard {
 
   /// Runs one supervision tick: shed, admit, detect, breaker bookkeeping.
   /// Mutates only in-memory state; all filesystem writes ride the result.
-  TickResult tick();
+  ///
+  /// The tick lists the spool directory when `spool_changed` is set (the
+  /// caller saw a spool name arrive or leave, or cannot tell), when the
+  /// shard has not listed since construction or restore(), or when its
+  /// pending index holds fewer than one tick's `max_files_per_tick` names.
+  /// The last rule bounds what a missed change costs: a file is admitted at
+  /// most one tick's admission after the backlog ahead of it.
+  TickResult tick(bool spool_changed = true);
 
   // --- checkpoint / restore --------------------------------------------------
   static constexpr int kCheckpointVersion = 1;
@@ -181,8 +196,13 @@ class TenantShard {
   };
 
   /// One readdir over the spool: new names join the index, names that left
-  /// the directory drop out.
+  /// the directory drop out of the index and, when the listing completed,
+  /// of the done-set.
   void list_spool();
+  /// Sets an indexed entry's measured size; drops an entry from the index.
+  /// Both keep the index totals, so no tick walks the index to size it.
+  void measure(SpoolIndex::iterator it, std::uint64_t bytes);
+  SpoolIndex::iterator unindex(SpoolIndex::iterator it);
   std::string spool_path(const std::string& name) const;
   /// Returns true when the file is finished (joined the done-set).
   bool consume_file(const std::string& name, const OpenedFile& file,
@@ -196,12 +216,17 @@ class TenantShard {
 
   std::unique_ptr<core::OnlineDetector> online_;
   std::map<std::string, std::uint64_t> cursors_;  ///< file name -> records consumed
-  std::set<std::string, std::less<>> done_;       ///< fully consumed or shed
+  /// Fully consumed or shed names -> the last listing generation that saw
+  /// them (or, for a name finished since, the generation it was indexed by).
+  std::map<std::string, std::uint64_t, std::less<>> done_;
   /// Pending files in name order (the service order kill-and-resume
   /// replays). Not checkpointed: a restored shard rebuilds it from its
   /// first listing.
   SpoolIndex spool_;
+  std::uint64_t spool_bytes_ = 0;    ///< sum of the index's measured sizes
+  std::size_t spool_oversized_ = 0;  ///< indexed entries over max_file_bytes
   std::uint64_t listings_ = 0;  ///< listing generation counter
+  bool relist_ = true;          ///< no listing since construction or restore()
   TenantAccounting accounting_;
 
   BreakerState breaker_state_ = BreakerState::Closed;

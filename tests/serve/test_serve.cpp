@@ -335,6 +335,31 @@ void append_filler(const std::string& path, std::uint64_t bytes) {
   }
 }
 
+TEST_F(TenantShardTest, ParseBombBehindTheBacklogIsShedOnTheTickItIsListed) {
+  const std::uint64_t guard = largest_file(dir_) + 4096;
+  auto opt = small_budget_options();
+  opt.quotas.max_files_per_tick = 1;
+  opt.quotas.max_file_bytes = guard;
+  const auto write_bomb = [&](const std::string& name) {
+    append_filler(dir_ + "/bomb.tmp", guard + 8192);
+    fs::rename(dir_ + "/bomb.tmp", dir_ + "/" + name);
+  };
+  // Both bombs sort after every clean file, so admission would reach them
+  // last; the shed pass finds them as soon as a listing measures them.
+  write_bomb("zz_bomb_1.log");
+  serve::TenantShard shard("t", dir_, model_, opt, 1);
+  const serve::TickResult first = shard.tick();
+  ASSERT_EQ(first.shed.size(), 1u);
+  EXPECT_EQ(first.shed[0].file, dir_ + "/zz_bomb_1.log");
+  while (shard.breaker_state() != serve::BreakerState::Closed) shard.tick();
+
+  write_bomb("zz_bomb_2.log");
+  const serve::TickResult later = shard.tick();
+  ASSERT_EQ(later.shed.size(), 1u);
+  EXPECT_EQ(later.shed[0].file, dir_ + "/zz_bomb_2.log");
+  EXPECT_EQ(later.shed[0].reason, "parse-bomb");
+}
+
 TEST_F(TenantShardTest, VanishedFileIsNeitherReportedNorCountedDone) {
   const auto names = spool_names(dir_);
   ASSERT_GE(names.size(), 3u);
@@ -463,6 +488,106 @@ TEST_F(TenantShardTest, RestoredShardRebuildsTheBacklogOnItsFirstListing) {
   EXPECT_EQ(first.records_admitted, third.records_admitted);
 }
 
+TEST_F(TenantShardTest, DoneNameThatLeftTheSpoolAndCameBackIsANewFile) {
+  // A container that died before logging a line: its zero-byte file is
+  // reported as an anomalous session.
+  const std::string died = dir_ + "/zz_died.log";
+  std::ofstream(died).close();
+  serve::TenantShard shard("t", dir_, model_, small_budget_options(), 1);
+  const DrainLog first = drain(shard);
+  ASSERT_EQ(std::count(first.reported.begin(), first.reported.end(), "zz_died"), 1);
+  const std::uint64_t files_done = shard.accounting().files_done;
+
+  // The name leaves the spool; the next listing drops it from the done-set,
+  // so the checkpoint no longer carries it.
+  fs::remove(died);
+  shard.tick();
+  const auto done_names = [&] {
+    const common::Json cp = shard.checkpoint();
+    std::vector<std::string> names;
+    for (const auto& n : cp["done"].as_array()) names.push_back(n.as_string());
+    return names;
+  };
+  std::vector<std::string> expected_done = spool_names(dir_);
+  EXPECT_EQ(done_names(), expected_done);
+
+  // The same name comes back: a new file, consumed and reported again.
+  std::ofstream(died).close();
+  const DrainLog second = drain(shard);
+  EXPECT_EQ(second.closed, std::vector<std::string>{"zz_died"});
+  EXPECT_EQ(second.reported, std::vector<std::string>{"zz_died"});
+  EXPECT_EQ(shard.accounting().files_done, files_done + 1);
+  expected_done.push_back("zz_died.log");
+  EXPECT_EQ(done_names(), expected_done);
+}
+
+TEST_F(TenantShardTest, DoneFileLeftInTheSpoolIsNeverAdmittedAgain) {
+  serve::TenantShard shard("t", dir_, model_, small_budget_options(), 1);
+  drain(shard);
+  const serve::TenantAccounting drained = shard.accounting();
+  for (int i = 0; i < 3; ++i) {
+    const serve::TickResult r = shard.tick();
+    EXPECT_EQ(r.records_admitted, 0u);
+    EXPECT_EQ(r.pending_files, 0u);
+  }
+  expect_accounting_eq(shard.accounting(), drained);
+
+  // A listing that cannot open the spool proves nothing has left it: the
+  // done-set survives, and the files are not admitted again when it returns.
+  fs::rename(dir_, dir_ + "_away");
+  EXPECT_TRUE(shard.tick().listed);
+  fs::rename(dir_ + "_away", dir_);
+  EXPECT_EQ(shard.tick().records_admitted, 0u);
+  expect_accounting_eq(shard.accounting(), drained);
+
+  // A restored shard lists the spool again and finds every name done.
+  serve::TenantShard resumed("t", dir_, model_, small_budget_options(), 2);
+  resumed.restore(shard.checkpoint());
+  const serve::TickResult r = resumed.tick();
+  EXPECT_TRUE(r.listed);
+  EXPECT_EQ(r.records_admitted, 0u);
+  EXPECT_EQ(r.pending_files, 0u);
+  expect_accounting_eq(resumed.accounting(), drained);
+}
+
+/// Adds `copies - 1` copies of every spool file under distinct names (so
+/// distinct sessions): a backlog of many ticks.
+void widen_spool(const std::string& spool, int copies) {
+  for (const auto& name : spool_names(spool)) {
+    for (int c = 1; c < copies; ++c) {
+      fs::copy_file(spool + "/" + name, spool + "/copy" + std::to_string(c) + "_" + name);
+    }
+  }
+}
+
+TEST_F(TenantShardTest, BackloggedShardListsOnlyWhenToldTheSpoolChanged) {
+  widen_spool(dir_, 4);
+  serve::TenantShard::Options opt;
+  opt.quotas.max_files_per_tick = 2;
+  opt.quotas.max_records_per_tick = std::size_t{1} << 30;
+  serve::TenantShard shard("t", dir_, model_, opt, 1);
+  EXPECT_TRUE(shard.tick(false).listed) << "a new shard lists on its first tick";
+  const serve::TickResult quiet = shard.tick(false);
+  EXPECT_FALSE(quiet.listed);
+  ASSERT_GE(quiet.pending_files, 2u);
+
+  // Told of a change, the shard lists and sees the new name.
+  fs::copy_file(dir_ + "/" + spool_names(dir_).back(), dir_ + "/aaa_new.log");
+  const serve::TickResult told = shard.tick(true);
+  EXPECT_TRUE(told.listed);
+  EXPECT_EQ(told.pending_files, quiet.pending_files - 1);  // +1 arrival, -2 admitted
+
+  std::size_t listings = 0;
+  for (int i = 0; i < 200; ++i) {
+    const serve::TickResult r = shard.tick(false);
+    listings += r.listed;
+    if (r.pending_files == 0 && shard.open_sessions() == 0) break;
+  }
+  // Only ticks that start with less than one tick's admission indexed list.
+  EXPECT_LE(listings, 2u);
+  EXPECT_EQ(shard.accounting().files_done, spool_truth(dir_).files);
+}
+
 TEST(ServeSignalsTest, StopFlagKeepsFirstSignalAndClears) {
   serve::clear_stop_signal();
   EXPECT_EQ(serve::stop_signal(), 0);
@@ -585,6 +710,139 @@ TEST(ServeDaemonTest, DrainOnEmptyBalancesAndPublishesTenantStatus) {
   EXPECT_NE(top.find("acme"), std::string::npos);
   EXPECT_NE(top.find("globex"), std::string::npos);
   fs::remove_all(root);
+}
+
+/// Writes a one-tenant root whose spool holds `copies` copies of one spark
+/// spool (see widen_spool), plus a model trained on it; returns the model
+/// path.
+std::string make_wide_root(const std::string& root, const std::string& tenant, int copies) {
+  fs::remove_all(root);
+  const std::string spool = root + "/" + tenant;
+  make_spool(spool, 3);
+  const std::string model_path = root + "/model.json";
+  core::IntelLog model;
+  model.train(logparse::read_log_directory_resilient(spool).sessions);
+  core::save_model_file(model, model_path);
+  widen_spool(spool, copies);
+  return model_path;
+}
+
+serve::ServeOptions drain_options(const std::string& root, const std::string& model_path) {
+  serve::ServeOptions opt;
+  opt.root = root;
+  opt.model_path = model_path;
+  opt.jobs = 1;
+  opt.poll_ms = 0;
+  opt.checkpoint_every_ticks = 4;
+  opt.drain_on_empty = true;
+  opt.handle_signals = false;
+  opt.max_ticks = 500;
+  opt.shard.quotas.max_records_per_tick = std::size_t{1} << 30;
+  return opt;
+}
+
+std::uint64_t listings(const obs::MetricsRegistry& registry, const std::string& tenant) {
+  const obs::Counter* c =
+      registry.find_counter("intellog_serve_spool_listings_total", {{"tenant", tenant}});
+  return c == nullptr ? ~std::uint64_t{0} : c->value();
+}
+
+TEST(ServeDaemonTest, BackloggedTenantListsItsSpoolOnlyWhenItChanges) {
+  const std::string root =
+      (fs::temp_directory_path() / "intellog_test_serve_listings").string();
+  const std::string model_path = make_wide_root(root, "acme", 12);
+  const SpoolTruth truth = spool_truth(root + "/acme");
+
+  obs::MetricsRegistry registry;
+  obs::set_registry(&registry);
+  serve::ServeOptions opt = drain_options(root, model_path);
+  opt.shard.quotas.max_files_per_tick = 2;
+  serve::ServeDaemon daemon(opt);
+  EXPECT_EQ(listings(registry, "acme"), 0u) << "the counter is registered at zero";
+  const serve::ServeSummary summary = daemon.run();
+  obs::set_registry(nullptr);
+
+  ASSERT_GE(summary.ticks, 40u);
+  EXPECT_LT(summary.ticks, opt.max_ticks);
+  // The first tick, the ticks that start with less than one tick's
+  // admission indexed, and the final idle tick: the daemon's own
+  // checkpoint and ledger writes never count as spool changes.
+  EXPECT_LE(listings(registry, "acme"), 5u);
+  EXPECT_GE(listings(registry, "acme"), 1u);
+  EXPECT_EQ(summary.tenants.at("acme").files_done, truth.files);
+  EXPECT_EQ(summary.tenants.at("acme").records_admitted, truth.records);
+  EXPECT_EQ(summary.tenants.at("acme").sessions_closed, truth.sessions);
+  fs::remove_all(root);
+}
+
+TEST(ServeDaemonTest, ArrivalsAndADeletionMidDrainAreAccountedExactlyOnce) {
+  const std::string root =
+      (fs::temp_directory_path() / "intellog_test_serve_arrivals").string();
+  const std::string stage = root + "_stage";
+  const std::string model_path = make_wide_root(root, "acme", 4);
+  const std::string spool = root + "/acme";
+  // Sorts after every other name, so it is still pending when it goes.
+  std::ofstream(spool + "/zz_doomed.log").close();
+  fs::remove_all(stage);
+  fs::create_directories(stage);
+  // Arrivals at both ends of the name order: zero-byte files (sessions that
+  // died before logging, always reported) and a copy of a real session.
+  const std::vector<std::string> died{"aa_died.log", "mm_died.log", "zy_died.log"};
+  for (const auto& name : died) std::ofstream(stage + "/" + name).close();
+  fs::copy_file(spool + "/" + spool_names(spool).front(), stage + "/mm_copy.log");
+
+  const auto reported_ids = [&] {
+    std::map<std::string, int> ids;
+    std::ifstream in(spool + "/.reports.jsonl");
+    for (std::string line; std::getline(in, line);) {
+      ++ids[common::Json::parse(line)["container"].as_string()];
+    }
+    return ids;
+  };
+
+  serve::ServeOptions opt = drain_options(root, model_path);
+  opt.shard.quotas.max_files_per_tick = 1;
+  std::string hook_errors;
+  bool early_arrival_reported = false;
+  opt.fault_hook = [&](const std::string&, std::uint64_t tick) {
+    std::error_code ec;
+    if (tick == 3) fs::rename(stage + "/aa_died.log", spool + "/aa_died.log", ec);
+    // The watch reported the rename before tick 4, which admitted the file
+    // (it sorts first) ahead of the backlog; its report landed before tick 5.
+    if (tick == 6) early_arrival_reported = reported_ids().count("aa_died") == 1;
+    if (tick == 5) fs::remove(spool + "/zz_doomed.log", ec);
+    if (tick == 7) fs::rename(stage + "/mm_copy.log", spool + "/mm_copy.log", ec);
+    if (tick == 7) fs::rename(stage + "/mm_died.log", spool + "/mm_died.log", ec);
+    if (tick == 9) fs::rename(stage + "/zy_died.log", spool + "/zy_died.log", ec);
+    if (ec) hook_errors += ec.message() + "; ";
+  };
+  obs::MetricsRegistry registry;
+  obs::set_registry(&registry);
+  const serve::ServeSummary summary = [&] {
+    serve::ServeDaemon daemon(opt);
+    return daemon.run();
+  }();
+  obs::set_registry(nullptr);
+  EXPECT_EQ(hook_errors, "");
+  ASSERT_GT(summary.ticks, 9u) << "the drain ended before every arrival";
+  EXPECT_LT(summary.ticks, opt.max_ticks);
+  EXPECT_TRUE(early_arrival_reported) << "an arrival waited for the backlog to drain";
+
+  const std::map<std::string, int> reported = reported_ids();
+  for (const auto& [container, n] : reported) {
+    EXPECT_EQ(n, 1) << container << " reported " << n << " times";
+  }
+  for (const auto& name : died) EXPECT_EQ(reported.count(fs::path(name).stem().string()), 1u);
+  EXPECT_EQ(reported.count("zz_doomed"), 0u) << "a deleted file was reported";
+
+  const SpoolTruth truth = spool_truth(spool);
+  const serve::TenantAccounting& acc = summary.tenants.at("acme");
+  EXPECT_EQ(acc.files_done, truth.files);
+  EXPECT_EQ(acc.records_admitted, truth.records);
+  EXPECT_EQ(acc.sessions_closed, truth.sessions);
+  EXPECT_EQ(acc.files_shed, 0u);
+  fs::remove_all(root);
+  fs::remove_all(stage);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #   tools/ci.sh chaos      # corrupted-stream soak under ASan (3 seeds)
 #   tools/ci.sh serve      # multi-tenant daemon soak under ASan (3 seeds)
 #                          # + CLI serve end-to-end with status validation
+#                          # + spool-size scaling probe (5k/15k/40k files)
 #   tools/ci.sh http       # live admin-plane smoke (Release + ASan/UBSan):
 #                          # endpoint validation, e2e-latency SLO series,
 #                          # breaker-driven /readyz flip and recovery
@@ -351,7 +352,7 @@ chaos_smoke() {
 # set-aside, quarantine-storm isolation (breaker + 2x latency bound),
 # parse-bomb shedding with ledger provenance, and wedged-shard watchdog
 # restarts — then one `intellog serve` run through the Release CLI with
-# strict status-document validation.
+# strict status-document validation, and a spool-size scaling probe.
 serve_smoke() {
   local dir="$repo/build-ci-asan"
   if [[ -x "$dir/tools/serve_soak" ]]; then
@@ -402,6 +403,57 @@ serve_smoke() {
     echo "serve smoke: FAIL — top cannot render the serve status" >&2; exit 1; }
   python3 "$repo/tools/validate_observatory.py" serve "$tmp/status.json" || {
     echo "serve smoke: FAIL — serve status validation" >&2; exit 1; }
+
+  # Scaling probe: a drain's cost per record must not grow with the spool's
+  # history. One worker drains the first 5k, 15k and 40k files of one
+  # seeded mapreduce spool (files sorted by path, flattened into one tenant
+  # the way cp would: a later job's file of the same name replaces the
+  # earlier one). Per-record wall time at 40k may be at most twice that at
+  # 5k, and a tenant with a backlog lists its spool only when the spool
+  # changed: at most 5 listings per drain.
+  echo "==> [serve] scaling probe: 5k / 15k / 40k-file mapreduce drains (Release)"
+  "$rdir/tools/loggen" "$tmp/mr_gen" --system mapreduce --jobs 400 --seed 7 >/dev/null
+  "$rdir/tools/loggen" "$tmp/mr_train" --system mapreduce --jobs 30 --seed 2024 >/dev/null
+  "$rdir/tools/intellog" train "$tmp/mr_train" -o "$tmp/mr_model.json" >/dev/null 2>&1
+  find "$tmp/mr_gen" -name '*.log' | LC_ALL=C sort > "$tmp/mr_files"
+  local n t0 t1
+  for n in 5000 15000 40000; do
+    rm -rf "$tmp/mr_root"
+    mkdir -p "$tmp/mr_root/mapreduce"
+    head -n "$n" "$tmp/mr_files" | xargs ln -f -t "$tmp/mr_root/mapreduce"
+    t0=$(date +%s%N)
+    rc=0
+    "$rdir/tools/intellog" serve "$tmp/mr_root" -m "$tmp/mr_model.json" --jobs 1 \
+        --drain-on-empty --backlog-files 100000 --metrics "$tmp/mr_metrics_$n.json" \
+        >/dev/null 2>&1 || rc=$?
+    t1=$(date +%s%N)
+    [[ $rc -eq 0 ]] || {
+      echo "serve smoke: FAIL — scaling probe drain of $n files exited $rc" >&2; exit 1; }
+    echo "$n $((t1 - t0))" >> "$tmp/mr_walls"
+  done
+  python3 - "$tmp" <<'PY' || { echo "serve smoke: FAIL — scaling probe" >&2; exit 1; }
+import json, os, sys
+tmp = sys.argv[1]
+ns_per_record, ok = {}, True
+for line in open(os.path.join(tmp, "mr_walls")):
+    n, wall_ns = map(int, line.split())
+    with open(os.path.join(tmp, f"mr_metrics_{n}.json")) as f:
+        metrics = json.load(f).values()
+    def total(name):
+        values = [m["value"] for m in metrics if m["name"] == name]
+        return sum(values) if values else None
+    records = total("intellog_serve_records_total") or 0
+    listings = total("intellog_serve_spool_listings_total")
+    ns_per_record[n] = wall_ns / max(1, records)
+    print(f"  {n:>6} files: {records} records in {wall_ns / 1e9:.2f} s, "
+          f"{ns_per_record[n]:.0f} ns/record, {listings} spool listings")
+    if listings is None or listings > 5:
+        print(f"  {n} files: want at most 5 spool listings per drain")
+        ok = False
+ratio = ns_per_record[40000] / ns_per_record[5000]
+print(f"  per-record wall time 40k/5k: {ratio:.2f} (want <= 2)")
+sys.exit(0 if ok and ratio <= 2.0 else 1)
+PY
   end_stage_tmp "$tmp"
 }
 
